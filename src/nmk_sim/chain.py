@@ -72,6 +72,13 @@ class ChainCoefficients:
         if np.any(hopping < -slack) or np.any(hopping > self.omega_c + slack):
             raise ValueError("hoppings must lie in [0, omega_c]")
 
+    @property
+    def couplings(self):
+        """System coupling vector ||v|| e_1: only the first mode is coupled."""
+        g = np.zeros(self.modes)
+        g[0] = self.v_norm
+        return g
+
     def jacobi_matrix(self):
         return np.diag(self.onsite) + np.diag(self.hopping, 1) + np.diag(self.hopping, -1)
 

@@ -80,7 +80,6 @@ class ExperimentConfig:
     """Validated experiment document bound to domain objects."""
 
     mode: str
-    seed: int
     model: fock.SystemModel
     kernels: tuple
     env_docs: tuple
@@ -126,7 +125,12 @@ class ExperimentConfig:
         baths = doc["baths"]
         if any(b >= len(baths) for _, _, b in model.jumps):
             raise SchemaViolation("at system/jumps: bath index out of range")
-        kernels = tuple(_kernel_from_doc(b["kernel"]) for b in baths)
+        kernels = []
+        for i, bath in enumerate(baths):
+            try:
+                kernels.append(_kernel_from_doc(bath["kernel"]))
+            except (ValueError, NmkSimError) as exc:
+                raise SchemaViolation(f"at baths/{i}/kernel: {exc}") from exc
         env_docs = tuple(b.get("initial", {"type": "vacuum"}) for b in baths)
 
         mol_doc = doc["mollifier"]
@@ -149,8 +153,8 @@ class ExperimentConfig:
             raise SchemaViolation("at sweep: sweep mode needs non-empty axes")
 
         return cls(
-            mode=doc["mode"], seed=doc.get("seed", 0), model=model,
-            kernels=kernels, env_docs=env_docs, mollifier=mollifier,
+            mode=doc["mode"], model=model, kernels=tuple(kernels),
+            env_docs=env_docs, mollifier=mollifier,
             reg_grid=reg_grid, cutoff_omega=doc["cutoff_omega"],
             modes=doc["modes"], particle_cap=doc["particle_cap"],
             t_final=doc["t_final"], out_step=doc.get("out_step", 0.05),
@@ -208,11 +212,12 @@ def _env_states(cfg, chains, couplings):
 
 def _simulate(cfg, couplings=None, omega_c=None, modes=None, cap=None,
               keep_states=False):
+    modes = cfg.modes if modes is None else modes
+    cap = cfg.particle_cap if cap is None else cap
+    space = fock.enumerate_basis(cfg.model.n, cfg.model.d, len(cfg.kernels),
+                                 modes, cap)
     couplings = couplings or _couplings(cfg)
     chains = _chains(cfg, couplings, omega_c, modes)
-    cap = cfg.particle_cap if cap is None else cap
-    space = fock.enumerate_basis(cfg.model.n, cfg.model.d, len(chains),
-                                 chains[0].modes, cap)
     env = _env_states(cfg, chains, couplings)
     psi0, lost = fock.assemble_initial_state(space, cfg.sys_initial, env)
     traj = dyn.evolve(cfg.model, chains, space, psi0, cfg.t_final,
@@ -266,7 +271,7 @@ def _state_constants(cfg, env_states, couplings):
     return dyn.StateConstants.from_photon_counts(cfg.kernels, n1, n2)
 
 
-def _budget(cfg, couplings, chains, space, env_states, lost, traj=None):
+def _budget(cfg, couplings, chains, space, env_states, lost):
     mu1_0 = sum(st.moments()[0] for st in env_states)
     consts = _state_constants(cfg, env_states, couplings)
     return dyn.assemble_error_budget(
@@ -329,16 +334,15 @@ def _measured_gaps(cfg, couplings, base_traj):
 
 def _run_point(cfg: ExperimentConfig, out_dir, tag=""):
     os.makedirs(out_dir, exist_ok=True)
-    couplings = _couplings(cfg)
     suffix = f"-{tag}" if tag else ""
 
     if cfg.mode == "chain-map":
-        chains = _chains(cfg, couplings)
+        chains = _chains(cfg, _couplings(cfg))
         _atomic_write(os.path.join(out_dir, f"chain{suffix}.json"),
                       _chain_json(chains))
         return {}
 
-    traj, chains, space, env, lost, _ = _simulate(cfg, couplings)
+    traj, chains, space, env, lost, couplings = _simulate(cfg)
     _atomic_write(os.path.join(out_dir, f"trajectory{suffix}.csv"),
                   trajectory_csv(traj, space.sys_dim))
     _atomic_write(os.path.join(out_dir, f"chain{suffix}.json"),
@@ -371,7 +375,7 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag=""):
         return {}
 
     # certify (also the per-point payload of sweep)
-    budget = _budget(cfg, couplings, chains, space, env, lost, traj)
+    budget = _budget(cfg, couplings, chains, space, env, lost)
     _atomic_write(os.path.join(out_dir, f"budget{suffix}.json"),
                   json.dumps(budget.to_json_dict(), indent=2, sort_keys=True) + "\n")
     gaps = _measured_gaps(cfg, couplings, traj)

@@ -55,13 +55,15 @@ class Trajectory:
         for rho in self.rho_s:
             herm = np.max(np.abs(rho - rho.conj().T))
             if herm > 1e-10:
-                raise ValueError(f"reduced state not Hermitian: {herm:.2e}")
+                raise StepControlFailure(
+                    f"reduced state not Hermitian: {herm:.2e}")
             tr = abs(np.trace(rho).real - self.norms[0] ** 2)
             if tr > tol:
-                raise ValueError(f"reduced state trace drift {tr:.2e}")
+                raise StepControlFailure(f"reduced state trace drift {tr:.2e}")
             evs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
             if float(np.min(evs)) < -tol:
-                raise ValueError(f"reduced state not PSD: {np.min(evs):.2e}")
+                raise StepControlFailure(
+                    f"reduced state not PSD: {np.min(evs):.2e}")
         return self
 
     @property

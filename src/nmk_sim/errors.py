@@ -49,7 +49,8 @@ class ShapeMismatch(NmkSimError):
 
 
 class StepControlFailure(NmkSimError):
-    """Local error controller could not meet the requested tolerance."""
+    """Local error controller could not meet the requested tolerance, or a
+    propagated state failed its sanity checks."""
 
 
 class UnsupportedInitialState(NmkSimError):

@@ -5,6 +5,13 @@ Basis ordering: a state index decomposes as mixed radix
 system index most significant.  Each bath contributes one block index into
 the lexicographically ordered list of occupation vectors (n_1 ... n_{N_m})
 with n_1 + ... + n_{N_m} <= p.
+
+The Hamiltonian builder takes each bath as one-body energies ``onsite`` w,
+nearest-neighbour ``hopping`` t and a system coupling vector ``couplings`` g:
+sum_j w_j n_j + t_j (a_j^dag a_{j+1} + h.c.) + (L (x) sum_j g_j a_j^dag + h.c.)
+with L the bath's jump operator.  A chain (`ChainCoefficients`) is
+``(onsite, hopping, ||v|| e_1)``, a star (`oracle.StarDiscretization`)
+``(omegas, 0, couplings)``.
 """
 
 from __future__ import annotations
@@ -156,21 +163,51 @@ def embed_system_operator(n: int, d: int, support, mat):
 
 
 @lru_cache(maxsize=64)
+def _completions(modes: int, cap: int):
+    """counts[j, s] = C(j + s, s): occupation vectors of j modes with sum <= s."""
+    return np.array([[math.comb(j + s, s) for s in range(cap + 1)]
+                     for j in range(modes + 1)], dtype=np.int64)
+
+
+def _rank(occ, cap: int):
+    """Lexicographic index of each occupation row (last axis: modes).
+
+    Combinatorial number system (Streltsov, Alon & Cederbaum, PRA 81,
+    022124 (2010)): with k_i modes from mode i on and r_i quanta left for
+    them, the rows that share the prefix n_1 .. n_{i-1} and hold fewer than
+    n_i quanta in mode i number
+    C(k_i + r_i, r_i) - C(k_i + r_i - n_i, r_i - n_i).
+    """
+    occ = np.asarray(occ, dtype=np.int64)
+    modes = occ.shape[-1]
+    counts = _completions(modes, cap)
+    left = cap - np.cumsum(occ, axis=-1) + occ
+    rest = np.arange(modes, 0, -1)
+    return (counts[rest, left] - counts[rest, left - occ]).sum(axis=-1)
+
+
+@lru_cache(maxsize=64)
 def _occupation_table(modes: int, cap: int):
-    """All occupation vectors with sum <= cap, lexicographically ordered."""
-    rows = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            rows.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], cap, modes)
-    table = np.array(sorted(rows), dtype=np.int64)
-    index = {tuple(row): i for i, row in enumerate(table)}
-    return table, index
+    """All occupation vectors with sum <= cap, lexicographically ordered:
+    the ranks 0, 1, ... unranked mode by mode (the inverse of `_rank`)."""
+    counts = _completions(modes, cap)
+    rest = np.arange(counts[modes, cap])
+    left = np.full(rest.size, cap)
+    columns = []
+    for i in range(modes):
+        tail = counts[modes - 1 - i]
+        occ = np.zeros(rest.size, dtype=np.int64)
+        for _ in range(cap):
+            # rows ranked past all completions of the current occupation
+            size = tail[left - occ]
+            step = (occ < left) & (rest >= size)
+            rest -= np.where(step, size, 0)
+            occ += step
+        left -= occ
+        columns.append(occ)
+    table = np.stack(columns, axis=1)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -185,12 +222,12 @@ class TruncatedSpace:
     table: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        table, _ = _occupation_table(self.modes, self.cap)
-        object.__setattr__(self, "table", table)
         if self.dimension > STATE_CAP:
             raise DimensionOverflow(
                 f"dimension {self.dimension} exceeds cap {STATE_CAP}"
             )
+        object.__setattr__(self, "table",
+                           _occupation_table(self.modes, self.cap))
 
     @property
     def block_size(self):
@@ -208,28 +245,24 @@ class TruncatedSpace:
     def dimension(self):
         return self.sys_dim * self.env_dim
 
+    @property
+    def _radix(self):
+        """Mixed radix of a basis index: system digits, then bath blocks."""
+        return (self.d,) * self.n + (self.block_size,) * self.baths
+
     def index_to_labels(self, index: int):
         """(system digits, per-bath occupation tuples) for a basis index."""
-        blocks = []
-        for _ in range(self.baths):
-            index, b = divmod(index, self.block_size)
-            blocks.append(tuple(int(v) for v in self.table[b]))
-        blocks.reverse()
-        digits = []
-        for _ in range(self.n):
-            index, dig = divmod(index, self.d)
-            digits.append(dig)
-        digits.reverse()
-        return tuple(digits), tuple(blocks)
+        parts = [int(p) for p in np.unravel_index(index, self._radix)]
+        return tuple(parts[:self.n]), tuple(
+            tuple(int(v) for v in self.table[b]) for b in parts[self.n:])
 
     def labels_to_index(self, digits, blocks) -> int:
-        _, occ_index = _occupation_table(self.modes, self.cap)
-        idx = 0
-        for dig in digits:
-            idx = idx * self.d + dig
-        for occ in blocks:
-            idx = idx * self.block_size + occ_index[tuple(occ)]
-        return idx
+        occ = np.asarray(blocks, dtype=np.int64)
+        if occ.shape != (self.baths, self.modes) or not (
+                np.all(occ >= 0) and np.all(occ.sum(axis=1) <= self.cap)):
+            raise ValueError("occupations outside the truncated space")
+        parts = tuple(digits) + tuple(_rank(occ, self.cap))
+        return int(np.ravel_multi_index(parts, self._radix))
 
     def bath_occupancy_sums(self, bath: int):
         """Total occupation of one bath for every basis index (vectorized)."""
@@ -280,31 +313,32 @@ class SparseOperator:
         return buf.getvalue()
 
 
-def _bath_local(space: TruncatedSpace, bath: int, block: sp.spmatrix):
-    """Lift a block-size operator on one bath to the full space."""
-    left = space.sys_dim * space.block_size**bath
-    right = space.block_size ** (space.baths - 1 - bath)
-    out = sp.identity(left, format="csr", dtype=complex)
-    out = sp.kron(out, block, format="csr")
-    if right > 1:
-        out = sp.kron(out, sp.identity(right, format="csr", dtype=complex),
-                      format="csr")
-    return out
+def _lift(space: TruncatedSpace, bath: int, block, system) -> sp.csr_matrix:
+    """`system` (x) `block` on one bath, the identity on the other baths."""
+    def eye(size):
+        return sp.identity(size, format="csr", dtype=complex)
+    out = sp.kron(eye(space.block_size**bath), block, format="csr")
+    out = sp.kron(out, eye(space.block_size ** (space.baths - 1 - bath)),
+                  format="csr")
+    return sp.kron(sp.csr_matrix(system), out, format="csr")
 
 
-def _block_lower(space: TruncatedSpace, mode: int) -> sp.csr_matrix:
-    table, occ_index = _occupation_table(space.modes, space.cap)
-    rows, cols, vals = [], [], []
-    for col, occ in enumerate(table):
-        nj = occ[mode]
-        if nj > 0:
-            target = list(occ)
-            target[mode] -= 1
-            rows.append(occ_index[tuple(target)])
-            cols.append(col)
-            vals.append(math.sqrt(nj))
-    b = space.block_size
-    return sp.csr_matrix((vals, (rows, cols)), shape=(b, b), dtype=complex)
+def _block(space: TruncatedSpace, rows, cols, vals) -> sp.csr_matrix:
+    """Block-size matrix from (row, col, value) arrays, zero values dropped."""
+    keep = vals != 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(space.block_size,) * 2, dtype=complex)
+
+
+def _moves(space: TruncatedSpace, to_next: bool = False):
+    """(row, mode j, target row) of every quantum leaving an occupied mode j:
+    n -> n - e_j, or n -> n - e_j + e_{j+1} with `to_next`."""
+    row, mode = np.nonzero(space.table[:, :space.modes - to_next])
+    occ = space.table[row]
+    occ[np.arange(row.size), mode] -= 1
+    if to_next:
+        occ[np.arange(row.size), mode + 1] += 1
+    return row, mode, _rank(occ, space.cap)
 
 
 def ladder(space: TruncatedSpace, bath: int, mode: int,
@@ -316,12 +350,15 @@ def ladder(space: TruncatedSpace, bath: int, mode: int,
     """
     if not 0 <= bath < space.baths or not 0 <= mode < space.modes:
         raise ValueError("bath or mode index out of range")
-    block = _block_lower(space, mode)
-    if kind == "raise":
-        block = block.conj().T.tocsr()
-    elif kind != "lower":
+    if kind not in ("lower", "raise"):
         raise ValueError("kind must be 'lower' or 'raise'")
-    return SparseOperator(space.dimension, _bath_local(space, bath, block))
+    row, j, lower = _moves(space)
+    row, lower = row[j == mode], lower[j == mode]
+    block = _block(space, lower, row, np.sqrt(space.table[row, mode]))
+    if kind == "raise":
+        block = block.conj().T
+    return SparseOperator(space.dimension,
+                          _lift(space, bath, block, np.eye(space.sys_dim)))
 
 
 def _system_on_space(space: TruncatedSpace, mat) -> sp.csr_matrix:
@@ -330,53 +367,39 @@ def _system_on_space(space: TruncatedSpace, mat) -> sp.csr_matrix:
                    format="csr")
 
 
-def build_hamiltonian_parts(model: SystemModel, chains, space: TruncatedSpace):
+def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
     """(constant part, [(term, profile), ...]) of the dilated Hamiltonian.
 
-    Constant part: bath onsite/hopping terms, the system-bath couplings
-    ||v_alpha|| (L_alpha a^dag_{alpha,1} + h.c.), and constant-profile system
-    terms.  Non-constant system terms are returned separately so repeated
-    builds only rescale cached matrices.
+    Constant part: every bath's quadratic form and its coupling
+    L_alpha a^dag(g_alpha) + h.c. (module docstring), plus the
+    constant-profile system terms.  Non-constant system terms are returned
+    separately so repeated builds only rescale cached matrices.
     """
-    if len(chains) != space.baths:
-        raise ShapeMismatch("need one ChainCoefficients per bath")
-    for c in chains:
-        if c.modes != space.modes:
-            raise ShapeMismatch("chain modes inconsistent with the space")
+    if len(baths) != space.baths or any(
+            np.shape(b.onsite) != (space.modes,) for b in baths):
+        raise ShapeMismatch("need one bath of `modes` modes per space bath")
+
+    table = space.table
+    row, mode, lower = _moves(space)
+    raise_amp = np.sqrt(table[row, mode])
+    hop_from, hop_mode, hop_to = _moves(space, to_next=True)
+    hop_amp = np.sqrt(table[hop_from, hop_mode]
+                      * (table[hop_from, hop_mode + 1] + 1))
+    diag = np.arange(space.block_size)
 
     dim = space.dimension
     h_const = sp.csr_matrix((dim, dim), dtype=complex)
-
-    table, occ_index = _occupation_table(space.modes, space.cap)
-    for alpha, coeffs in enumerate(chains):
-        # onsite: diagonal in the occupation basis
-        diag_block = table @ np.asarray(coeffs.onsite)
-        idx = np.arange(dim)
-        shift = space.block_size ** (space.baths - 1 - alpha)
-        full_diag = diag_block[(idx // shift) % space.block_size]
-        h_const = h_const + sp.diags(full_diag, format="csr", dtype=complex)
-
-        # hopping within the bath block (occupation total is conserved)
-        b = space.block_size
-        rows, cols, vals = [], [], []
-        for col, occ in enumerate(table):
-            for j, t_j in enumerate(coeffs.hopping):
-                if occ[j] > 0:
-                    target = list(occ)
-                    target[j] -= 1
-                    target[j + 1] += 1
-                    rows.append(occ_index[tuple(target)])
-                    cols.append(col)
-                    vals.append(t_j * math.sqrt(occ[j] * (occ[j + 1] + 1)))
-        hop = sp.csr_matrix((vals, (rows, cols)), shape=(b, b), dtype=complex)
-        hop = hop + hop.conj().T
-        h_const = h_const + _bath_local(space, alpha, hop)
-
-        # system-bath coupling through the first chain mode
-        l_mat = model.jump_matrix(alpha)
-        lower1 = ladder(space, alpha, 0, "lower").matrix
-        l_full = _system_on_space(space, l_mat)
-        coupling = coeffs.v_norm * (l_full @ lower1.conj().T)
+    for alpha, bath in enumerate(baths):
+        hop = np.asarray(bath.hopping)[hop_mode] * hop_amp
+        quadratic = _block(space, np.concatenate([diag, hop_to, hop_from]),
+                           np.concatenate([diag, hop_from, hop_to]),
+                           np.concatenate([table @ np.asarray(bath.onsite),
+                                           hop, np.conj(hop)]))
+        h_const = h_const + _lift(space, alpha, quadratic,
+                                  np.eye(space.sys_dim))
+        raise_g = _block(space, row, lower,
+                         np.asarray(bath.couplings)[mode] * raise_amp)
+        coupling = _lift(space, alpha, raise_g, model.jump_matrix(alpha))
         h_const = h_const + coupling + coupling.conj().T
 
     profiled = []
@@ -484,7 +507,6 @@ def assemble_initial_state(space: TruncatedSpace, sys_state,
     if sys_state.shape != (space.sys_dim,):
         raise ShapeMismatch("system state has wrong dimension")
 
-    table, _ = _occupation_table(space.modes, space.cap)
     blocks = []
     lost = 0.0
     for st in env_states:
@@ -495,20 +517,19 @@ def assemble_initial_state(space: TruncatedSpace, sys_state,
             amps = np.asarray(st.amplitudes, dtype=complex)
             if amps.shape != (space.modes,):
                 raise ShapeMismatch("single-photon amplitudes need length modes")
-            for j in range(space.modes):
-                occ = [0] * space.modes
-                occ[j] = 1
-                vec[np.flatnonzero((table == occ).all(axis=1))[0]] = amps[j]
+            if space.cap > 0:
+                vec[_rank(np.eye(space.modes), space.cap)] = amps
             lost += st.residual
         elif st.kind == "coherent":
             disp = np.asarray(st.amplitudes, dtype=complex)
             if disp.shape != (space.modes,):
                 raise ShapeMismatch("displacements need length modes")
-            for i, occ in enumerate(table):
-                amp = np.exp(-0.5 * float(np.sum(np.abs(disp) ** 2)))
-                for j, nj in enumerate(occ):
-                    amp = amp * disp[j] ** nj / math.sqrt(math.factorial(nj))
-                vec[i] = amp
+            root_fact = np.sqrt([float(math.factorial(k))
+                                 for k in range(space.cap + 1)])
+            vec = np.full(space.block_size,
+                          np.exp(-0.5 * float(np.sum(np.abs(disp) ** 2))))
+            for j, occ in enumerate(space.table.T):
+                vec = vec * disp[j] ** occ / root_fact[occ]
             lost += 1.0 - float(np.sum(np.abs(vec) ** 2))
         else:
             raise ValueError(f"unknown environment state kind {st.kind!r}")

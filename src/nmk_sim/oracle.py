@@ -1,10 +1,12 @@
 """Brute-force references: direct star-geometry discretization and a
 Lindblad integrator for the delta-kernel (Markovian) limit.
 
-The star oracle shares no machinery with the chain pipeline: modes sit on a
-uniform frequency grid with midpoint couplings g_k = vhat(w_k) sqrt(dw), so
-agreement between the two is a genuine cross-check of the quadrature and
-Lanczos steps.
+The star oracle shares the Fock-space builder and the propagator with the
+chain pipeline, since a star bath is the same quadratic bath in another
+geometry (diagonal instead of tridiagonal).  Its discretization is
+independent: modes sit on a uniform frequency grid with midpoint couplings
+g_k = vhat(w_k) sqrt(dw), so agreement between the two is a genuine
+cross-check of the Gauss quadrature and Lanczos steps.
 """
 
 from __future__ import annotations
@@ -13,18 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dynamics import StepControl, Trajectory, _collect, _propagate_const
 from .errors import ShapeMismatch, StepControlFailure
-from .fock import (
-    SystemModel,
-    TruncatedSpace,
-    _bath_local,
-    _block_lower,
-    _system_on_space,
-    enumerate_basis,
-)
+from .fock import (SystemModel, TruncatedSpace, build_hamiltonian_parts,
+                   enumerate_basis)
 from .kernels import RegularizedCoupling
 
 
@@ -48,39 +43,20 @@ class StarDiscretization:
         gap = abs(got - target) / max(target, 1e-300)
         return cls(omegas, g, count, gap)
 
+    @property
+    def onsite(self):
+        return self.omegas
+
+    @property
+    def hopping(self):   # star modes couple only to the system
+        return np.zeros(self.count - 1)
+
 
 def _star_hamiltonian(model: SystemModel, stars, space: TruncatedSpace):
-    if len(stars) != space.baths:
-        raise ShapeMismatch("need one StarDiscretization per bath")
-    for star in stars:
-        if star.count != space.modes:
-            raise ShapeMismatch("star mode count inconsistent with the space")
-    dim = space.dimension
-    h = sp.csr_matrix((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    from .fock import _occupation_table
-
-    table, _ = _occupation_table(space.modes, space.cap)
-    for alpha, star in enumerate(stars):
-        diag_block = table @ star.omegas
-        shift = space.block_size ** (space.baths - 1 - alpha)
-        h = h + sp.diags(diag_block[(idx // shift) % space.block_size],
-                         format="csr", dtype=complex)
-        l_full = _system_on_space(space, model.jump_matrix(alpha))
-        for k in range(space.modes):
-            if star.couplings[k] == 0.0:
-                continue
-            lower = _bath_local(space, alpha, _block_lower(space, k))
-            term = star.couplings[k] * (l_full @ lower.conj().T)
-            h = h + term + term.conj().T
-    for support, mat, profile in model.hs_terms:
-        if not profile.is_constant:
-            raise StepControlFailure(
-                "star oracle supports constant system profiles only")
-        from .fock import embed_system_operator
-
-        h = h + _system_on_space(
-            space, embed_system_operator(model.n, model.d, support, mat))
+    if model.time_dependent:
+        raise StepControlFailure(
+            "star oracle supports constant system profiles only")
+    h, _ = build_hamiltonian_parts(model, stars, space)
     return h
 
 

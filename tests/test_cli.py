@@ -1,11 +1,21 @@
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
 from nmk_sim import cli
 from nmk_sim.errors import SchemaViolation
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
+
+
+def _shipped(name):
+    with open(os.path.join(CONFIGS, name)) as fh:
+        return json.load(fh)
 
 
 def _base_doc(**overrides):
@@ -87,6 +97,27 @@ def test_numerical_failure_is_exit_three(tmp_path, capsys):
     code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_kernel_error_is_exit_two(tmp_path, capsys):
+    doc = _shipped("feedback-delay.json")
+    doc["baths"][0]["kernel"]["atoms"][0]["location"] = 0.5
+    path = _write(tmp_path, doc)
+    code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "at baths/0/kernel" in err and "strictly increasing" in err
+
+
+def test_oversized_space_fails_before_any_work(tmp_path, capsys):
+    doc = _shipped("lorentzian-desk.json")
+    doc.update(modes=400, particle_cap=3)     # 2 * C(403, 3) > STATE_CAP
+    path = _write(tmp_path, doc)
+    start = time.perf_counter()
+    code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "exceeds cap" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5.0
 
 
 # -- chain-map ---------------------------------------------------------------------

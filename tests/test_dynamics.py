@@ -119,6 +119,18 @@ def test_step_control_failure():
                StepControl(out_step=1.0, tol=1e-18, max_halvings=2))
 
 
+@pytest.mark.parametrize("rho", [
+    np.array([[0.5, 0.1], [0.3, 0.5]]),      # not Hermitian
+    np.array([[0.7, 0.0], [0.0, 0.5]]),      # trace drifted from 1
+    np.array([[1.2, 0.0], [0.0, -0.2]]),     # not positive semidefinite
+], ids=["hermitian", "trace", "psd"])
+def test_validate_bad_reduced_state_is_step_control_failure(rho):
+    traj = dyn.Trajectory(np.array([0.0]), rho[None].astype(complex),
+                          np.zeros((1, 1)), np.zeros((1, 1)), np.ones(1))
+    with pytest.raises(StepControlFailure):
+        traj.validate()
+
+
 def test_trajectory_state_sanity():
     model = _qubit_model(hs=0.5 * SIGMA_Z, jump=SIGMA_X)
     coeffs = ChainCoefficients(np.array([0.2, 0.1]), np.array([0.3]),

@@ -25,6 +25,7 @@ from nmk_sim.fock import (
     project_particle_sector,
     project_wavepacket,
 )
+from nmk_sim.oracle import StarDiscretization, _star_hamiltonian
 
 
 # -- basis enumeration ----------------------------------------------------------
@@ -294,3 +295,253 @@ def test_project_wavepacket_in_span(flat_coupling):
     assert residual < 1e-6
     assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(amps[3:])) < 1e-6  # only q_0..q_2 participate
+
+
+# -- reference builder -------------------------------------------------------------
+# The loop/dict assembly the vectorized builder replaced: a recursive
+# occupation table with a tuple -> index dict, per-row ladder and hopping
+# loops, and one lifted `kron` per star mode.  Values must agree exactly where
+# the arithmetic order is unchanged (unit jump entries), and within
+# 8 eps max|H| where the coupling's product order differs (L (g sqrt n)
+# instead of g (L sqrt n)).
+
+def _ref_table(modes, cap):
+    rows = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 0:
+            rows.append(tuple(prefix))
+            return
+        for v in range(remaining + 1):
+            rec(prefix + [v], remaining - v, slots - 1)
+
+    rec([], cap, modes)
+    table = np.array(sorted(rows), dtype=np.int64)
+    return table, {tuple(row): i for i, row in enumerate(table)}
+
+
+def _ref_bath_local(space, bath, block):
+    left = space.sys_dim * space.block_size**bath
+    right = space.block_size ** (space.baths - 1 - bath)
+    out = sp.kron(sp.identity(left, format="csr", dtype=complex), block,
+                  format="csr")
+    if right > 1:
+        out = sp.kron(out, sp.identity(right, format="csr", dtype=complex),
+                      format="csr")
+    return out
+
+
+def _ref_block_lower(space, mode):
+    table, occ_index = _ref_table(space.modes, space.cap)
+    rows, cols, vals = [], [], []
+    for col, occ in enumerate(table):
+        nj = occ[mode]
+        if nj > 0:
+            target = list(occ)
+            target[mode] -= 1
+            rows.append(occ_index[tuple(target)])
+            cols.append(col)
+            vals.append(math.sqrt(nj))
+    b = space.block_size
+    return sp.csr_matrix((vals, (rows, cols)), shape=(b, b), dtype=complex)
+
+
+def _ref_system_on_space(space, mat):
+    return sp.kron(sp.csr_matrix(mat),
+                   sp.identity(space.env_dim, format="csr", dtype=complex),
+                   format="csr")
+
+
+def _ref_onsite(space, alpha, energies):
+    table, _ = _ref_table(space.modes, space.cap)
+    diag_block = table @ np.asarray(energies)
+    idx = np.arange(space.dimension)
+    shift = space.block_size ** (space.baths - 1 - alpha)
+    return sp.diags(diag_block[(idx // shift) % space.block_size],
+                    format="csr", dtype=complex)
+
+
+def _ref_system_terms(model, space, h):
+    profiled = []
+    for support, mat, profile in model.hs_terms:
+        term = _ref_system_on_space(
+            space, embed_system_operator(model.n, model.d, support, mat))
+        if profile.is_constant:
+            h = h + term
+        else:
+            profiled.append((term, profile))
+    return h, profiled
+
+
+def _ref_chain_parts(model, chains, space):
+    dim = space.dimension
+    h = sp.csr_matrix((dim, dim), dtype=complex)
+    table, occ_index = _ref_table(space.modes, space.cap)
+    for alpha, coeffs in enumerate(chains):
+        h = h + _ref_onsite(space, alpha, coeffs.onsite)
+        b = space.block_size
+        rows, cols, vals = [], [], []
+        for col, occ in enumerate(table):
+            for j, t_j in enumerate(coeffs.hopping):
+                if occ[j] > 0:
+                    target = list(occ)
+                    target[j] -= 1
+                    target[j + 1] += 1
+                    rows.append(occ_index[tuple(target)])
+                    cols.append(col)
+                    vals.append(t_j * math.sqrt(occ[j] * (occ[j + 1] + 1)))
+        hop = sp.csr_matrix((vals, (rows, cols)), shape=(b, b), dtype=complex)
+        h = h + _ref_bath_local(space, alpha, hop + hop.conj().T)
+        l_full = _ref_system_on_space(space, model.jump_matrix(alpha))
+        lower1 = _ref_bath_local(space, alpha, _ref_block_lower(space, 0))
+        coupling = coeffs.v_norm * (l_full @ lower1.conj().T)
+        h = h + coupling + coupling.conj().T
+    return _ref_system_terms(model, space, h)
+
+
+def _ref_star_parts(model, stars, space):
+    dim = space.dimension
+    h = sp.csr_matrix((dim, dim), dtype=complex)
+    for alpha, star in enumerate(stars):
+        h = h + _ref_onsite(space, alpha, star.omegas)
+        l_full = _ref_system_on_space(space, model.jump_matrix(alpha))
+        for k in range(space.modes):
+            if star.couplings[k] == 0.0:
+                continue
+            lower = _ref_bath_local(space, alpha, _ref_block_lower(space, k))
+            term = star.couplings[k] * (l_full @ lower.conj().T)
+            h = h + term + term.conj().T
+    return _ref_system_terms(model, space, h)
+
+
+def _assert_same_operator(new, ref, exact):
+    new, ref = new.tocsr(), ref.tocsr()
+    new.sort_indices()
+    ref.sort_indices()
+    assert np.array_equal(new.indptr, ref.indptr)
+    assert np.array_equal(new.indices, ref.indices)
+    if exact:
+        assert np.array_equal(new.data, ref.data)
+    else:
+        tol = 8 * np.finfo(float).eps * np.max(np.abs(ref.data))
+        assert np.max(np.abs(new.data - ref.data)) <= tol
+
+
+def _random_bath(geometry, rng, modes, couplings=None):
+    if geometry == "chain":
+        return ChainCoefficients(rng.uniform(-1.0, 1.0, modes),
+                                 rng.uniform(0.0, 1.0, modes - 1),
+                                 rng.uniform(0.2, 1.5), 1.0, modes)
+    if couplings is None:
+        couplings = rng.normal(size=modes) + 1j * rng.normal(size=modes)
+    return StarDiscretization(np.sort(rng.uniform(-2.0, 2.0, modes)),
+                              couplings, modes, 0.0)
+
+
+def _compare_builders(geometry, model, baths, space, exact=True):
+    h_const, profiled = fock.build_hamiltonian_parts(model, baths, space)
+    ref = _ref_chain_parts if geometry == "chain" else _ref_star_parts
+    ref_const, ref_profiled = ref(model, baths, space)
+    _assert_same_operator(h_const, ref_const, exact)
+    assert [p for _, p in profiled] == [p for _, p in ref_profiled]
+    for (term, _), (ref_term, _) in zip(profiled, ref_profiled):
+        _assert_same_operator(term, ref_term, exact)
+    if geometry == "star" and not profiled:
+        _assert_same_operator(_star_hamiltonian(model, baths, space),
+                              ref_const, exact)
+
+
+@pytest.mark.parametrize("geometry", ["chain", "star"])
+@pytest.mark.parametrize("baths", [1, 2])
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_builder_matches_reference(geometry, baths, cap):
+    rng = np.random.default_rng(100 * baths + cap)
+    jumps = (((0,), SIGMA_MINUS, 0), ((0,), SIGMA_X, 1))[:baths]
+    model = SystemModel(1, 2, (((0,), 0.5 * SIGMA_Z, TimeProfile()),), jumps)
+    modes = 3
+    space = enumerate_basis(1, 2, baths, modes, cap)
+    _compare_builders(geometry, model,
+                      [_random_bath(geometry, rng, modes) for _ in range(baths)],
+                      space)
+
+
+def test_builder_star_with_zero_couplings():
+    rng = np.random.default_rng(5)
+    model = SystemModel(1, 2, (((0,), 0.5 * SIGMA_Z, TimeProfile()),),
+                        (((0,), SIGMA_MINUS, 0),))
+    star = _random_bath("star", rng, 4, couplings=np.zeros(4, dtype=complex))
+    space = enumerate_basis(1, 2, 1, 4, 2)
+    _compare_builders("star", model, [star], space)
+    h, _ = fock.build_hamiltonian_parts(model, [star], space)
+    assert h.nnz == np.count_nonzero(h.diagonal())    # no coupling entries
+
+
+@pytest.mark.parametrize("geometry", ["chain", "star"])
+def test_builder_non_unit_jump_matrix(geometry):
+    rng = np.random.default_rng(11)
+    jump = (0.3 + 0.7j) * SIGMA_MINUS + 0.45 * SIGMA_Z
+    model = SystemModel(2, 2, (((0, 1), np.kron(SIGMA_X, SIGMA_X),
+                                TimeProfile()),),
+                        (((1,), jump, 0), ((0,), 1.7 * SIGMA_X, 1)))
+    space = enumerate_basis(2, 2, 2, 3, 2)
+    baths = [_random_bath(geometry, rng, 3) for _ in range(2)]
+    _compare_builders(geometry, model, baths, space, exact=False)
+
+
+def test_builder_time_profiled_system_term():
+    rng = np.random.default_rng(3)
+    model = SystemModel(1, 2, (((0,), 0.5 * SIGMA_Z, TimeProfile()),
+                               ((0,), 0.4 * SIGMA_X, TimeProfile("cos", 2.0)),
+                               ((0,), 0.1 * SIGMA_Z, TimeProfile("sin", 0.5))),
+                        (((0,), SIGMA_MINUS, 0),))
+    space = enumerate_basis(1, 2, 1, 4, 2)
+    _compare_builders("chain", model, [_random_bath("chain", rng, 4)], space)
+
+
+def test_ladder_matches_reference():
+    space = enumerate_basis(1, 2, 2, 3, 3)
+    for bath in range(2):
+        for mode in range(3):
+            ref = _ref_bath_local(space, bath, _ref_block_lower(space, mode))
+            _assert_same_operator(ladder(space, bath, mode, "lower").matrix,
+                                  ref, exact=True)
+            _assert_same_operator(ladder(space, bath, mode, "raise").matrix,
+                                  ref.conj().T, exact=True)
+
+
+@pytest.mark.parametrize("modes,cap", [(1, 0), (1, 4), (3, 3), (6, 2),
+                                       (20, 4), (512, 1)])
+def test_rank_inverts_table(modes, cap):
+    table = fock._occupation_table(modes, cap)
+    assert table.shape == (math.comb(modes + cap, cap), modes)
+    assert np.array_equal(fock._rank(table, cap), np.arange(len(table)))
+    if len(table) < 2000:
+        assert np.array_equal(table, _ref_table(modes, cap)[0])
+
+
+def test_labels_outside_the_space_rejected():
+    space = enumerate_basis(1, 2, 1, 2, 2)
+    with pytest.raises(ValueError):
+        space.labels_to_index((0,), [(2, 1)])
+
+
+def test_initial_states_match_reference_loops():
+    space = enumerate_basis(1, 2, 1, 3, 3)
+    table, _ = _ref_table(3, 3)
+    amps = np.array([0.6, 0.0, 0.8j])
+    disp = np.array([0.5 + 0.1j, -0.3, 0.2j])
+    ref_photon = np.zeros(space.block_size, dtype=complex)
+    ref_coherent = np.zeros(space.block_size, dtype=complex)
+    for i, occ in enumerate(table):
+        if occ.sum() == 1:
+            ref_photon[i] = amps[np.argmax(occ)]
+        amp = np.exp(-0.5 * float(np.sum(np.abs(disp) ** 2)))
+        for j, nj in enumerate(occ):
+            amp = amp * disp[j] ** nj / math.sqrt(math.factorial(nj))
+        ref_coherent[i] = amp
+    sys0 = np.array([1.0, 0.0])
+    for st_env, ref in ((InitialEnvState("single_photon", amps), ref_photon),
+                        (InitialEnvState("coherent", disp), ref_coherent)):
+        psi, _ = assemble_initial_state(space, sys0, [st_env])
+        expected = np.kron(sys0, ref / np.linalg.norm(ref))
+        assert np.max(np.abs(psi - expected)) <= 8 * np.finfo(float).eps

@@ -6,7 +6,7 @@ import pytest
 from nmk_sim import kernels as ker
 from nmk_sim.chain import star_to_chain
 from nmk_sim.dynamics import StepControl, evolve, trace_distance
-from nmk_sim.errors import ShapeMismatch
+from nmk_sim.errors import ShapeMismatch, StepControlFailure
 from nmk_sim.fock import (
     InitialEnvState,
     SIGMA_MINUS,
@@ -62,6 +62,17 @@ def test_star_rejects_mismatched_space():
     psi0[space.vacuum_index((0,))] = 1.0
     with pytest.raises(ShapeMismatch):
         star_evolve(model, [star], 1, psi0, 1.0, space=space)
+
+
+def test_star_rejects_driven_system():
+    driven = SystemModel(1, 2, (((0,), SIGMA_X, TimeProfile("cos", 1.0)),),
+                         (((0,), SIGMA_MINUS, 0),))
+    star = StarDiscretization(np.array([0.5]), np.array([0.3 + 0j]), 1, 0.0)
+    space = enumerate_basis(1, 2, 1, 1, 1)
+    psi0, _ = assemble_initial_state(space, np.array([1.0, 0.0]),
+                                     [InitialEnvState()])
+    with pytest.raises(StepControlFailure):
+        star_evolve(driven, [star], 1, psi0, 1.0)
 
 
 def test_star_vs_chain_converge(lorentzian_coupling):
