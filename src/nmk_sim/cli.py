@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import itertools
 import json
 import logging
@@ -39,6 +40,14 @@ MODES = ("chain-map", "simulate", "certify", "compare-oracle", "sweep")
 def _load_schema():
     with resources.files("nmk_sim").joinpath("schema.json").open() as fh:
         return json.load(fh)
+
+
+@functools.cache
+def _schema_validator():
+    # Built once: `jsonschema.validate` re-checks the schema itself on every
+    # call, which costs 50x the validation of a document.
+    schema = _load_schema()
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _fmt(x: float) -> str:
@@ -96,9 +105,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_document(cls, doc) -> "ExperimentConfig":
-        try:
-            jsonschema.validate(doc, _load_schema())
-        except jsonschema.ValidationError as exc:
+        exc = jsonschema.exceptions.best_match(
+            _schema_validator().iter_errors(doc))
+        if exc is not None:
             path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
             raise SchemaViolation(f"at {path}: {exc.message}") from exc
 
@@ -342,6 +351,12 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag=""):
                       _chain_json(chains))
         return {}
 
+    if cfg.mode == "compare-oracle":
+        # size-checked before the chain run, like the chain space in _simulate
+        star_space = fock.enumerate_basis(cfg.model.n, cfg.model.d,
+                                          len(cfg.kernels), cfg.star_modes,
+                                          cfg.particle_cap)
+
     traj, chains, space, env, lost, couplings = _simulate(cfg)
     _atomic_write(os.path.join(out_dir, f"trajectory{suffix}.csv"),
                   trajectory_csv(traj, space.sys_dim))
@@ -354,14 +369,13 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag=""):
         stars = [orc.StarDiscretization.from_coupling(c, cfg.cutoff_omega,
                                                       cfg.star_modes)
                  for c in couplings]
-        star_space = fock.enumerate_basis(cfg.model.n, cfg.model.d, len(stars),
-                                          cfg.star_modes, cfg.particle_cap)
         star_env = _star_env_states(cfg, stars)
         psi0, _ = fock.assemble_initial_state(star_space, cfg.sys_initial,
                                               star_env)
         star_traj = orc.star_evolve(cfg.model, stars, cfg.particle_cap, psi0,
                                     cfg.t_final,
-                                    dyn.StepControl(out_step=cfg.out_step))
+                                    dyn.StepControl(out_step=cfg.out_step),
+                                    space=star_space)
         star_traj.validate()
         _atomic_write(os.path.join(out_dir, f"oracle-trajectory{suffix}.csv"),
                       trajectory_csv(star_traj, star_space.sys_dim))

@@ -3,6 +3,7 @@ import math
 import os
 import time
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -48,6 +49,12 @@ def _write(tmp_path, doc, name="config.json"):
 
 
 # -- schema validation ------------------------------------------------------------
+
+def test_shipped_schema_is_valid():
+    # configs are validated without re-checking the schema itself
+    schema = cli._load_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
 
 def test_missing_section_is_exit_two(tmp_path, capsys):
     path = _write(tmp_path, {"mode": "simulate"})
@@ -118,6 +125,19 @@ def test_oversized_space_fails_before_any_work(tmp_path, capsys):
     assert code == 3
     assert "exceeds cap" in capsys.readouterr().err
     assert time.perf_counter() - start < 5.0
+
+
+def test_oversized_star_space_fails_before_chain_run(tmp_path, capsys):
+    doc = _base_doc(mode="compare-oracle", particle_cap=3)
+    doc["oracle"] = {"star_modes": 400}      # 2 * C(403, 3) > STATE_CAP
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = cli.main(["compare-oracle", "--config", path, "--out", str(out)])
+    assert code == 3
+    assert "exceeds cap" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5.0
+    assert not (out / "trajectory.csv").exists()
 
 
 # -- chain-map ---------------------------------------------------------------------

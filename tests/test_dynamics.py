@@ -109,7 +109,26 @@ def test_time_dependent_matches_commuting_closed_form():
     traj.validate()
 
 
-def test_step_control_failure():
+def test_dense_and_krylov_cf4_agree(monkeypatch, lorentzian_coupling):
+    # the driven case of acceptance criterion 5 (dim 30), cut to t = 0.4
+    model = _qubit_model(hs=0.4 * SIGMA_X, profile=TimeProfile("cos", 2.0))
+    chain = star_to_chain(lorentzian_coupling, 3.0, 4)
+    space = enumerate_basis(1, 2, 1, 4, 2)
+    assert space.dimension <= dyn.DENSE_EXPM_DIM
+    psi0 = _vacuum_start(space)
+    ctl = StepControl(out_step=0.2)
+    dense = evolve(model, [chain], space, psi0, 0.4, ctl)
+    monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", 0)
+    krylov = evolve(model, [chain], space, psi0, 0.4, ctl)
+    for name in ("rho_s", "mu1", "norms"):
+        gap = np.max(np.abs(getattr(dense, name) - getattr(krylov, name)))
+        assert gap < 1e-12, name
+
+
+@pytest.mark.parametrize("dense_dim", [dyn.DENSE_EXPM_DIM, 0],
+                         ids=["dense", "krylov"])
+def test_step_control_failure(monkeypatch, dense_dim):
+    monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", dense_dim)
     model = _qubit_model(hs=0.5 * SIGMA_X, profile=TimeProfile("cos", 2.0))
     zero = ChainCoefficients(np.zeros(1), np.zeros(0), 0.0, 1.0, 1)
     space = enumerate_basis(1, 2, 1, 1, 1)
