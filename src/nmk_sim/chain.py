@@ -237,28 +237,38 @@ def chain_error_bound_value(v_norm_sq: float, omega_c: float, modes: int,
 
 
 def chain_error_single(coeffs: ChainCoefficients, coupling: RegularizedCoupling,
-                       t: float):
-    """(actual, bound) for the single-particle chain truncation at time t.
+                       t):
+    """(actual, bound) for the single-particle chain truncation at time(s) t.
 
     actual = (1/2) || tau_t v - nu_t v ||^2 computed via quadrature of the
     pointwise residual |sum_j c_j(t) q_j(w) - exp(-i w t)|^2 |vhat(w)|^2, so
-    no large cancellation occurs; bound is the a-priori certificate.
+    no large cancellation occurs; bound is the a-priori certificate.  `t` may
+    be a scalar (two floats are returned) or an array of times (two arrays
+    of its shape); the chain map, spectrum and polynomials are built once for
+    all times, and actual is exactly 0 where t == 0.
     """
-    alpha, beta, mass, (lam, wts) = _refined_jacobi(coupling, coeffs.omega_c,
-                                                    coeffs.modes)
-    bound = chain_error_bound_value(mass, coeffs.omega_c, coeffs.modes, t)
-    if t == 0.0:
-        return 0.0, 0.0
+    times = np.asarray(t, dtype=float)
+    ts = times.ravel()
+    _, _, mass, (lam, wts) = _refined_jacobi(coupling, coeffs.omega_c,
+                                             coeffs.modes)
+    bound = np.array([chain_error_bound_value(mass, coeffs.omega_c,
+                                              coeffs.modes, float(s))
+                      for s in ts])
     if coeffs.modes == 1:
         vals = np.array([coeffs.onsite[0]])
         vecs = np.array([[1.0]])
     else:
         vals, vecs = eigh_tridiagonal(coeffs.onsite, coeffs.hopping)
-    c_t = coeffs.v_norm * (vecs @ (np.exp(-1j * vals * t) * vecs[0, :]))
+    # row k holds c(t_k) = ||v|| exp(-i A t_k) e_1
+    c_t = coeffs.v_norm * ((np.exp(-1j * np.outer(ts, vals)) * vecs[0, :])
+                           @ vecs.T)
     q = orthonormal_polynomials(coeffs, mass, lam)
-    residual = c_t @ q - np.exp(-1j * lam * t)
-    actual = 0.5 * float(np.sum(wts * np.abs(residual) ** 2))
-    return actual, bound
+    residual = c_t @ q - np.exp(-1j * np.outer(ts, lam))
+    actual = 0.5 * (np.abs(residual) ** 2 @ wts)
+    actual[ts == 0.0] = 0.0
+    if times.ndim == 0:
+        return float(actual[0]), float(bound[0])
+    return actual.reshape(times.shape), bound.reshape(times.shape)
 
 
 def flat_chain_error_mp(omega_c: float, modes: int, t: float, dps: int = 60):

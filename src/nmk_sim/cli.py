@@ -341,7 +341,7 @@ def _measured_gaps(cfg, couplings, base_traj):
     return gaps
 
 
-def _run_point(cfg: ExperimentConfig, out_dir, tag=""):
+def _run_point(cfg: ExperimentConfig, out_dir, tag="", couplings=None):
     os.makedirs(out_dir, exist_ok=True)
     suffix = f"-{tag}" if tag else ""
 
@@ -357,7 +357,7 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag=""):
                                           len(cfg.kernels), cfg.star_modes,
                                           cfg.particle_cap)
 
-    traj, chains, space, env, lost, couplings = _simulate(cfg)
+    traj, chains, space, env, lost, couplings = _simulate(cfg, couplings)
     _atomic_write(os.path.join(out_dir, f"trajectory{suffix}.csv"),
                   trajectory_csv(traj, space.sys_dim))
     _atomic_write(os.path.join(out_dir, f"chain{suffix}.json"),
@@ -427,8 +427,9 @@ def _point_config(cfg: ExperimentConfig, point) -> ExperimentConfig:
 
 
 def _sweep_worker(args):
-    cfg, point, out_dir, tag = args
-    result = _run_point(_point_config(cfg, point), out_dir, tag=tag)
+    cfg, point, out_dir, tag, couplings = args
+    result = _run_point(_point_config(cfg, point), out_dir, tag=tag,
+                        couplings=couplings)
     row = dict(point)
     budget, gaps = result["budget"], result["gaps"]
     for name in ("regularization", "cutoff", "chain", "truncation",
@@ -443,7 +444,13 @@ def _sweep_worker(args):
 def _run_sweep(cfg: ExperimentConfig, out_dir, jobs: int):
     points = list(_sweep_points(cfg))
     tags = [f"pt{idx:04d}" for idx in range(len(points))]
-    work = [(cfg, pt, out_dir, tag) for pt, tag in zip(points, tags)]
+    # couplings depend on the point only through epsilon: regularize once each
+    by_eps = {}
+    for pt in points:
+        if pt["epsilon"] not in by_eps:
+            by_eps[pt["epsilon"]] = _couplings(_point_config(cfg, pt))
+    work = [(cfg, pt, out_dir, tag, by_eps[pt["epsilon"]])
+            for pt, tag in zip(points, tags)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = dict(pool.map(_sweep_worker, work))

@@ -350,7 +350,7 @@ def chain_error_bound(jump_norms, couplings, chains, t: float,
             sup = math.sqrt(2.0 * half_sq) if math.isfinite(half_sq) else math.inf
         else:
             svals = np.linspace(0.0, t, n_sup)
-            worst = max(chain_error_single(coeffs, coupling, s)[0] for s in svals)
+            worst = float(np.max(chain_error_single(coeffs, coupling, svals)[0]))
             sup = 1.1 * math.sqrt(2.0 * worst)
         total += l_norm * sup
     return prefactor * total

@@ -480,13 +480,12 @@ def project_wavepacket(coeffs, coupling, samples_omega, samples_values):
     Returns (amplitudes, residual_sq).  The wavepacket need not be
     normalized; amplitudes are c_j = <phi_j, xi> with phihat_j = q_j vhat.
     """
-    from .chain import _refined_jacobi, orthonormal_polynomials
+    from .chain import orthonormal_polynomials
 
     w = np.asarray(samples_omega, dtype=float)
     xi = np.asarray(samples_values, dtype=complex)
-    _, _, mass, _ = _refined_jacobi(coupling, coeffs.omega_c, coeffs.modes)
     sel = np.abs(w) <= coeffs.omega_c
-    q = orthonormal_polynomials(coeffs, mass, w[sel])
+    q = orthonormal_polynomials(coeffs, coeffs.v_norm**2, w[sel])
     vhat = np.asarray(coupling.vhat(w[sel]))
     amps = np.trapezoid(q * (np.conj(vhat) * xi[sel])[None, :], w[sel], axis=1)
     norm_sq = float(np.trapezoid(np.abs(xi) ** 2, w))

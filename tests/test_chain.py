@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nmk_sim import chain, kernels as ker
+from nmk_sim import chain, dynamics as dyn, kernels as ker
 from nmk_sim.chain import (
     ChainCoefficients,
     chain_error_single,
@@ -203,6 +203,36 @@ def test_flat_mp_matches_float64(flat_coupling):
         amp, bmp = flat_chain_error_mp(1.0, 6, t)
         assert a64 == pytest.approx(amp, rel=1e-6, abs=1e-13)
         assert b64 == pytest.approx(bmp, rel=1e-10)
+
+
+def test_chain_error_over_times_matches_scalar_calls(flat_coupling):
+    # modes=3 keeps every sampled error far above the float64 noise of the
+    # residual quadrature, so the two evaluation orders agree to rounding
+    coeffs = star_to_chain(flat_coupling, 1.0, 3)
+    ts = np.linspace(0.0, 3.0, 17)
+    actual, bound = chain_error_single(coeffs, flat_coupling, ts)
+    assert actual.shape == bound.shape == ts.shape
+    assert actual[0] == 0.0 and bound[0] == 0.0
+    for k, t in enumerate(ts[1:], start=1):
+        a, b = chain_error_single(coeffs, flat_coupling, t)
+        assert isinstance(a, float) and isinstance(b, float)
+        assert actual[k] == pytest.approx(a, rel=1e-13, abs=0.0)
+        assert bound[k] == b
+
+
+def test_chain_error_bound_runs_chain_map_once(flat_coupling, monkeypatch):
+    calls = []
+    refined = chain._refined_jacobi
+
+    def counting(*args):
+        calls.append(args)
+        return refined(*args)
+
+    coeffs = star_to_chain(flat_coupling, 1.0, 4)
+    monkeypatch.setattr(chain, "_refined_jacobi", counting)
+    value = dyn.chain_error_bound([1.0], [flat_coupling], [coeffs], 2.0)
+    assert len(calls) == 1
+    assert value > 0.0
 
 
 def test_bound_overflow_is_inf():

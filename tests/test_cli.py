@@ -304,6 +304,49 @@ def test_sweep_grid_rows(tmp_path):
                 float(vals[idx[f"meas_{kind}"]]) - 1e-12
 
 
+def test_sweep_regularizes_once_per_epsilon(tmp_path, monkeypatch):
+    calls = []
+    regularize = cli.ker.regularize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return regularize(*args, **kwargs)
+
+    doc = _base_doc(mode="sweep")
+    doc["sweep"] = {"modes": [4, 6]}
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli.ker, "regularize", counting)
+    assert cli.main(["sweep", "--config", _write(tmp_path, doc),
+                     "--out", str(out)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    # each point on its own regularizes for itself; the bytes must not move
+    rows = (out / "sweep.csv").read_text().split("\n")
+    for k, modes in enumerate((4, 6)):
+        tag = f"pt{k:04d}"
+        single = _base_doc(mode="sweep")
+        single["sweep"] = {"modes": [modes]}
+        one = tmp_path / f"one-{modes}"
+        assert cli.main(["sweep", "--config",
+                         _write(tmp_path, single, f"one-{modes}.json"),
+                         "--out", str(one)]) == 0
+        one_rows = (one / "sweep.csv").read_text().split("\n")
+        assert one_rows[0] == rows[0]
+        assert one_rows[1].replace("pt0000", tag, 1) == rows[1 + k]
+        # a plain certify run takes its couplings from no sweep at all
+        cert = tmp_path / f"cert-{modes}"
+        assert cli.main(["certify", "--config",
+                         _write(tmp_path, _base_doc(modes=modes),
+                                f"cert-{modes}.json"),
+                         "--out", str(cert)]) == 0
+        for name in ("budget.json", "chain.json", "report.csv",
+                     "trajectory.csv"):
+            stem, ext = name.split(".")
+            assert (cert / name).read_bytes() == \
+                (out / f"{stem}-{tag}.{ext}").read_bytes()
+
+
 def test_sweep_without_axes_rejected(tmp_path, capsys):
     path = _write(tmp_path, _base_doc())
     code = cli.main(["sweep", "--config", path, "--out", str(tmp_path / "o")])

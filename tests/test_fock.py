@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from nmk_sim import fock
+from nmk_sim import chain as chain_mod, fock
 from nmk_sim.chain import ChainCoefficients, star_to_chain
 from nmk_sim.errors import DimensionOverflow, ShapeMismatch
 from nmk_sim.fock import (
@@ -295,6 +295,28 @@ def test_project_wavepacket_in_span(flat_coupling):
     assert residual < 1e-6
     assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(amps[3:])) < 1e-6  # only q_0..q_2 participate
+
+
+def test_project_wavepacket_uses_chain_mass(lorentzian_coupling):
+    """The chain's ||v||^2 stands in for a rerun of the chain map."""
+    coeffs = star_to_chain(lorentzian_coupling, 3.0, 6)
+    w = lorentzian_coupling.grid
+    xi = np.exp(-((w - 0.5) ** 2) / (2.0 * 0.4**2)).astype(complex)
+    amps, residual = project_wavepacket(coeffs, lorentzian_coupling, w, xi)
+
+    # the previous path: the mass from a fresh discretize-plus-Lanczos run
+    _, _, mass, _ = chain_mod._refined_jacobi(lorentzian_coupling,
+                                              coeffs.omega_c, coeffs.modes)
+    sel = np.abs(w) <= coeffs.omega_c
+    q = chain_mod.orthonormal_polynomials(coeffs, mass, w[sel])
+    vhat = np.asarray(lorentzian_coupling.vhat(w[sel]))
+    ref = np.trapezoid(q * (np.conj(vhat) * xi[sel])[None, :], w[sel], axis=1)
+    ref_residual = float(np.trapezoid(np.abs(xi) ** 2, w)) \
+        - float(np.sum(np.abs(ref) ** 2))
+
+    assert ref_residual > 1e-3    # a real residual, not a cancellation
+    np.testing.assert_allclose(amps, ref, rtol=1e-14, atol=0.0)
+    assert residual == pytest.approx(ref_residual, rel=1e-14, abs=0.0)
 
 
 # -- reference builder -------------------------------------------------------------
