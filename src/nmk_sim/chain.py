@@ -79,9 +79,6 @@ class ChainCoefficients:
         g[0] = self.v_norm
         return g
 
-    def jacobi_matrix(self):
-        return np.diag(self.onsite) + np.diag(self.hopping, 1) + np.diag(self.hopping, -1)
-
     def to_json_dict(self):
         return {
             "onsite": [float(x) for x in self.onsite],

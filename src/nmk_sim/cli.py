@@ -191,10 +191,13 @@ def _couplings(cfg: ExperimentConfig):
     return out
 
 
-def _chains(cfg, couplings, omega_c=None, modes=None):
-    omega_c = cfg.cutoff_omega if omega_c is None else omega_c
-    modes = cfg.modes if modes is None else modes
+def _chains(couplings, omega_c, modes):
     return [chain_mod.star_to_chain(c, omega_c, modes) for c in couplings]
+
+
+def _space(cfg, modes, cap):
+    return fock.enumerate_basis(cfg.model.n, cfg.model.d, len(cfg.kernels),
+                                modes, cap)
 
 
 def _env_states(cfg, chains, couplings):
@@ -219,21 +222,12 @@ def _env_states(cfg, chains, couplings):
     return states
 
 
-def _simulate(cfg, couplings=None, omega_c=None, modes=None, cap=None,
-              keep_states=False):
-    modes = cfg.modes if modes is None else modes
-    cap = cfg.particle_cap if cap is None else cap
-    space = fock.enumerate_basis(cfg.model.n, cfg.model.d, len(cfg.kernels),
-                                 modes, cap)
-    couplings = couplings or _couplings(cfg)
-    chains = _chains(cfg, couplings, omega_c, modes)
-    env = _env_states(cfg, chains, couplings)
+def _simulate(cfg, space, chains, env):
+    """Propagate the built stages; returns (validated trajectory, lost norm)."""
     psi0, lost = fock.assemble_initial_state(space, cfg.sys_initial, env)
     traj = dyn.evolve(cfg.model, chains, space, psi0, cfg.t_final,
-                      dyn.StepControl(out_step=cfg.out_step),
-                      keep_states=keep_states)
-    traj.validate()
-    return traj, chains, space, env, lost, couplings
+                      dyn.StepControl(out_step=cfg.out_step))
+    return traj.validate(), lost
 
 
 def _star_env_states(cfg, stars):
@@ -326,12 +320,20 @@ def _chain_json(chains) -> str:
 
 # -- mode runners ---------------------------------------------------------------
 
-def _measured_gaps(cfg, couplings, base_traj):
-    """Trace-distance gaps to the three refined pipelines."""
-    fine_p, _, _, _, _, _ = _simulate(cfg, couplings, cap=cfg.particle_cap + 2)
-    fine_w, _, _, _, _, _ = _simulate(cfg, couplings,
-                                      omega_c=2.0 * cfg.cutoff_omega)
-    fine_n, _, _, _, _, _ = _simulate(cfg, couplings, modes=cfg.modes + 8)
+def _measured_gaps(cfg, couplings, space, chains, env, base_traj):
+    """Trace-distance gaps to the three refined pipelines.
+
+    Each refinement rebuilds only the stages its parameter changes, and
+    enumerates a refined space before mapping its chains.
+    """
+    fine_p, _ = _simulate(cfg, _space(cfg, cfg.modes, cfg.particle_cap + 2),
+                          chains, env)
+    wide = _chains(couplings, 2.0 * cfg.cutoff_omega, cfg.modes)
+    fine_w, _ = _simulate(cfg, space, wide, _env_states(cfg, wide, couplings))
+    long_space = _space(cfg, cfg.modes + 8, cfg.particle_cap)
+    long = _chains(couplings, cfg.cutoff_omega, cfg.modes + 8)
+    fine_n, _ = _simulate(cfg, long_space, long,
+                          _env_states(cfg, long, couplings))
     gaps = {}
     for name, fine in (("truncation", fine_p), ("cutoff", fine_w),
                        ("chain", fine_n)):
@@ -346,18 +348,19 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", couplings=None):
     suffix = f"-{tag}" if tag else ""
 
     if cfg.mode == "chain-map":
-        chains = _chains(cfg, _couplings(cfg))
+        chains = _chains(_couplings(cfg), cfg.cutoff_omega, cfg.modes)
         _atomic_write(os.path.join(out_dir, f"chain{suffix}.json"),
                       _chain_json(chains))
         return {}
 
+    # both size checks run before any chain work of this point
+    space = _space(cfg, cfg.modes, cfg.particle_cap)
     if cfg.mode == "compare-oracle":
-        # size-checked before the chain run, like the chain space in _simulate
-        star_space = fock.enumerate_basis(cfg.model.n, cfg.model.d,
-                                          len(cfg.kernels), cfg.star_modes,
-                                          cfg.particle_cap)
-
-    traj, chains, space, env, lost, couplings = _simulate(cfg, couplings)
+        star_space = _space(cfg, cfg.star_modes, cfg.particle_cap)
+    couplings = couplings or _couplings(cfg)
+    chains = _chains(couplings, cfg.cutoff_omega, cfg.modes)
+    env = _env_states(cfg, chains, couplings)
+    traj, lost = _simulate(cfg, space, chains, env)
     _atomic_write(os.path.join(out_dir, f"trajectory{suffix}.csv"),
                   trajectory_csv(traj, space.sys_dim))
     _atomic_write(os.path.join(out_dir, f"chain{suffix}.json"),
@@ -392,7 +395,7 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", couplings=None):
     budget = _budget(cfg, couplings, chains, space, env, lost)
     _atomic_write(os.path.join(out_dir, f"budget{suffix}.json"),
                   json.dumps(budget.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    gaps = _measured_gaps(cfg, couplings, traj)
+    gaps = _measured_gaps(cfg, couplings, space, chains, env, traj)
     lines = ["kind,certified,measured"]
     for name in ("regularization", "cutoff", "chain", "truncation",
                  "initialization"):

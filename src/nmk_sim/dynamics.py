@@ -63,7 +63,7 @@ class Trajectory:
     oracle: bool = False
 
     def validate(self, tol: float = 1e-8):
-        drift = float(np.max(np.abs(self.norms - self.norms[0])))
+        drift = self.norm_drift
         if drift > tol:
             raise StepControlFailure(f"norm drift {drift:.2e} exceeds {tol:.0e}")
         for rho in self.rho_s:
@@ -124,14 +124,13 @@ def _cf4_step(h_of_t, t, dt, psi):
 
 def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
            t_final: float, dt_control: StepControl | None = None,
-           keep_states: bool = False, oracle: bool = False,
-           hamiltonian_parts=None) -> Trajectory:
+           keep_states: bool = False) -> Trajectory:
     """Propagate psi0 under the dilated Hamiltonian and record the trajectory.
 
     Time-independent Hamiltonians use a dense eigendecomposition (small
     dimensions) or Krylov `expm_multiply` stepping; time-dependent ones use a
-    commutator-free fourth-order scheme with step halving until the norm
-    drift and Richardson estimate meet the tolerance.  At or below
+    commutator-free fourth-order scheme with step halving until the
+    Richardson estimate meets the tolerance.  At or below
     `DENSE_EXPM_DIM` a driven Hamiltonian is converted to dense arrays once
     and each step takes dense `expm` exponentials; above it the steps stay
     sparse and use Krylov `expm_multiply`.
@@ -145,13 +144,9 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
     if abs(times[-1] - t_final) > 1e-12:
         times = np.linspace(0.0, t_final, n_out + 1)
 
-    if hamiltonian_parts is None:
-        h_const, profiled = build_hamiltonian_parts(model, chains, space)
-    else:
-        h_const, profiled = hamiltonian_parts
-
+    h_const, profiled = build_hamiltonian_parts(model, chains, space)
     if not profiled:
-        states = _propagate_const(h_const, psi0, times, ctl)
+        states = _propagate_const(h_const, psi0, times)
     else:
         if psi0.size <= DENSE_EXPM_DIM:
             h_const = h_const.toarray()
@@ -165,10 +160,10 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
 
         states = _propagate_cf4(h_of_t, psi0, times, ctl)
 
-    return _collect(space, times, states, keep_states, oracle)
+    return _collect(space, times, states, keep_states, oracle=False)
 
 
-def _propagate_const(h, psi0, times, ctl):
+def _propagate_const(h, psi0, times):
     dim = psi0.size
     if dim <= DENSE_EIG_DIM:
         vals, vecs = eigh(h.toarray())
@@ -190,11 +185,11 @@ def _propagate_cf4(h_of_t, psi0, times, ctl):
             dt = (t1 - t0) / n_sub
             for k in range(n_sub):
                 cur = _cf4_step(h_of_t, t0 + k * dt, dt, cur)
-            drift = abs(np.linalg.norm(cur) - np.linalg.norm(psi))
-            if prev is not None:
-                rich = float(np.linalg.norm(cur - prev)) / 15.0
-                if drift < ctl.tol and rich < ctl.tol:
-                    break
+            # a unitary step drifts in norm only by rounding, far below tol;
+            # Trajectory.validate checks the drift of the whole trajectory
+            if (prev is not None
+                    and float(np.linalg.norm(cur - prev)) / 15.0 < ctl.tol):
+                break
             prev = cur
             n_sub *= 2
         else:

@@ -113,10 +113,6 @@ class SystemModel:
     def sys_dim(self):
         return self.d**self.n
 
-    @property
-    def bath_count(self):
-        return 1 + max((b for _, _, b in self.jumps), default=-1)
-
     def jump_matrix(self, bath: int):
         """Full-register jump operator of the given bath (dense)."""
         out = np.zeros((self.sys_dim, self.sys_dim), dtype=complex)
@@ -186,7 +182,6 @@ def _rank(occ, cap: int):
     return (counts[rest, left] - counts[rest, left - occ]).sum(axis=-1)
 
 
-@lru_cache(maxsize=64)
 def _occupation_table(modes: int, cap: int):
     """All occupation vectors with sum <= cap, lexicographically ordered:
     the ranks 0, 1, ... unranked mode by mode (the inverse of `_rank`)."""

@@ -75,7 +75,7 @@ def star_evolve(model: SystemModel, stars, cap: int, psi0, t_final: float,
         raise ShapeMismatch("initial state has wrong dimension")
     n_out = max(int(round(t_final / ctl.out_step)), 1)
     times = np.linspace(0.0, t_final, n_out + 1)
-    states = _propagate_const(h, psi0, times, ctl)
+    states = _propagate_const(h, psi0, times)
     return _collect(space, times, states, keep_states, oracle=True)
 
 

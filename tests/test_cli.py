@@ -222,6 +222,23 @@ def test_certify_budget_dominates_gaps(tmp_path):
     assert float(total_row[1]) >= float(total_row[2])
 
 
+def test_certify_maps_each_chain_once(tmp_path, monkeypatch):
+    # the particle-cap refinement reuses the base chains; the cutoff and
+    # modes refinements map their own
+    calls = []
+    star_to_chain = cli.chain_mod.star_to_chain
+
+    def counting(coupling, omega_c, modes):
+        calls.append((omega_c, modes))
+        return star_to_chain(coupling, omega_c, modes)
+
+    monkeypatch.setattr(cli.chain_mod, "star_to_chain", counting)
+    assert cli.main(["certify", "--config",
+                     os.path.join(CONFIGS, "lorentzian-desk.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(3.0, 8), (6.0, 8), (3.0, 16)]
+
+
 def test_single_photon_environment(tmp_path):
     doc = _base_doc()
     doc["baths"][0]["initial"] = {

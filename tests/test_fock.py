@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -539,6 +541,15 @@ def test_rank_inverts_table(modes, cap):
     assert np.array_equal(fock._rank(table, cap), np.arange(len(table)))
     if len(table) < 2000:
         assert np.array_equal(table, _ref_table(modes, cap)[0])
+
+
+def test_space_table_released_with_space():
+    # the table lives as long as its space, not for the whole process
+    space = enumerate_basis(1, 2, 1, 7, 2)
+    table = weakref.ref(space.table)
+    del space
+    gc.collect()
+    assert table() is None
 
 
 def test_labels_outside_the_space_rejected():
