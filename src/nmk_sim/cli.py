@@ -30,7 +30,8 @@ from . import dynamics as dyn
 from . import fock
 from . import kernels as ker
 from . import oracle as orc
-from .errors import NmkSimError, SchemaViolation, UnsupportedInitialState
+from .errors import (DimensionOverflow, NmkSimError, SchemaViolation,
+                     UnsupportedInitialState)
 
 log = logging.getLogger("nmk_sim")
 
@@ -196,8 +197,16 @@ def _chains(couplings, omega_c, modes):
 
 
 def _space(cfg, modes, cap):
-    return fock.enumerate_basis(cfg.model.n, cfg.model.d, len(cfg.kernels),
-                                modes, cap)
+    """Enumerated space, refused before assembly if its Hamiltonian is too big."""
+    space = fock.enumerate_basis(cfg.model.n, cfg.model.d, len(cfg.kernels),
+                                 modes, cap)
+    size = fock.hamiltonian_bytes(cfg.model, space)
+    if size > fock.HAMILTONIAN_BYTES_CAP:
+        raise DimensionOverflow(
+            f"Hamiltonian of about {size / 2**20:.0f} MiB at dimension "
+            f"{space.dimension} exceeds cap "
+            f"{fock.HAMILTONIAN_BYTES_CAP / 2**20:.0f} MiB")
+    return space
 
 
 def _env_states(cfg, chains, couplings):
@@ -320,26 +329,42 @@ def _chain_json(chains) -> str:
 
 # -- mode runners ---------------------------------------------------------------
 
-def _measured_gaps(cfg, couplings, space, chains, env, base_traj):
-    """Trace-distance gaps to the three refined pipelines.
+def _padded(env, extra):
+    """Environment states on `extra` more chain modes, holding no quanta."""
+    return [st if st.kind == "vacuum" else
+            replace(st, amplitudes=np.pad(st.amplitudes, (0, extra)))
+            for st in env]
 
-    Each refinement rebuilds only the stages its parameter changes, and
-    enumerates a refined space before mapping its chains.
+
+def _max_gap(traj, fine):
+    return max(dyn.trace_distance(a, b) for a, b in zip(traj.rho_s, fine.rho_s))
+
+
+def _measured_gaps(cfg, couplings, space, chains, env, base_traj, cap_space,
+                   long_space):
+    """Trace-distance gaps to the refined pipelines.
+
+    Each refinement rebuilds only the stages its parameter changes; the
+    refined spaces come enumerated (and size-checked) by the caller.  The
+    long chain starts from the base environment state padded with empty
+    modes, so the chain gap does not also measure a finer projection of the
+    initial state; with a non-vacuum environment the initialization gap is
+    the long chain from that padded state against the long chain from its
+    own projection.
     """
-    fine_p, _ = _simulate(cfg, _space(cfg, cfg.modes, cfg.particle_cap + 2),
-                          chains, env)
+    fine_p, _ = _simulate(cfg, cap_space, chains, env)
     wide = _chains(couplings, 2.0 * cfg.cutoff_omega, cfg.modes)
     fine_w, _ = _simulate(cfg, space, wide, _env_states(cfg, wide, couplings))
-    long_space = _space(cfg, cfg.modes + 8, cfg.particle_cap)
-    long = _chains(couplings, cfg.cutoff_omega, cfg.modes + 8)
+    long = _chains(couplings, cfg.cutoff_omega, long_space.modes)
     fine_n, _ = _simulate(cfg, long_space, long,
-                          _env_states(cfg, long, couplings))
-    gaps = {}
-    for name, fine in (("truncation", fine_p), ("cutoff", fine_w),
-                       ("chain", fine_n)):
-        gaps[name] = max(
-            dyn.trace_distance(a, b)
-            for a, b in zip(base_traj.rho_s, fine.rho_s))
+                          _padded(env, long_space.modes - cfg.modes))
+    gaps = {"truncation": _max_gap(base_traj, fine_p),
+            "cutoff": _max_gap(base_traj, fine_w),
+            "chain": _max_gap(base_traj, fine_n)}
+    if any(st.kind != "vacuum" for st in env):
+        fine_i, _ = _simulate(cfg, long_space, long,
+                              _env_states(cfg, long, couplings))
+        gaps["initialization"] = _max_gap(fine_n, fine_i)
     return gaps
 
 
@@ -353,10 +378,13 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", couplings=None):
                       _chain_json(chains))
         return {}
 
-    # both size checks run before any chain work of this point
+    # every size check of this point runs before any chain work
     space = _space(cfg, cfg.modes, cfg.particle_cap)
     if cfg.mode == "compare-oracle":
         star_space = _space(cfg, cfg.star_modes, cfg.particle_cap)
+    if cfg.mode == "certify":
+        cap_space = _space(cfg, cfg.modes, cfg.particle_cap + 2)
+        long_space = _space(cfg, cfg.modes + 8, cfg.particle_cap)
     couplings = couplings or _couplings(cfg)
     chains = _chains(couplings, cfg.cutoff_omega, cfg.modes)
     env = _env_states(cfg, chains, couplings)
@@ -395,7 +423,8 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", couplings=None):
     budget = _budget(cfg, couplings, chains, space, env, lost)
     _atomic_write(os.path.join(out_dir, f"budget{suffix}.json"),
                   json.dumps(budget.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    gaps = _measured_gaps(cfg, couplings, space, chains, env, traj)
+    gaps = _measured_gaps(cfg, couplings, space, chains, env, traj, cap_space,
+                          long_space)
     lines = ["kind,certified,measured"]
     for name in ("regularization", "cutoff", "chain", "truncation",
                  "initialization"):

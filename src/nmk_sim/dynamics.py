@@ -24,7 +24,42 @@ from .fock import (
 )
 from .kernels import error_functions, eval_spectral_density, total_variation
 
+# A constant Hamiltonian is propagated by one dense `eigh`, at about
+# 1e-9 dim^3 s whatever the time span, or by Krylov `expm_multiply` (Al-Mohy &
+# Higham, SIAM J. Sci. Comput. 33, 488 (2011)), at about
+# 2e-7 nnz (||H||_1 t + n_out) s: its step count follows ||H||_1 t and each
+# output time costs a few more products.  Dense runs when
+# dim^3 < KRYLOV_COST_RATIO nnz (||H||_1 t + n_out), and never above
+# DENSE_EIG_DIM, which bounds its memory.  Measured with one BLAS thread on a
+# 2-vCPU x86 KVM guest (desk chains, the delta-train chain and stars of
+# configs/feedback-delay.json; out_step 0.05, 0.1 at t = 1), dense against
+# Krylov, with ratio = dim^3 / (nnz (||H||_1 t + n_out)):
+#
+#    dim    nnz   ||H||_1   t    dense     Krylov   ratio
+#     56    224     8.0     2    1.0 ms     19 ms     14
+#    330   1770    12.3    20     60 ms    314 ms     31
+#     90    378     8.0     2    3.2 ms     26 ms     34
+#    330   1770    12.3    10     49 ms    157 ms     63
+#    130    382    22.7     2    7.3 ms     40 ms     67   chain
+#    462   2142     8.0    20    184 ms    167 ms     82
+#    130    256    20.1     2    5.7 ms     30 ms    106   star
+#    330   1770    12.3     5     41 ms     36 ms    125
+#    462   2142     8.0    10    107 ms     89 ms    164
+#    910   5278    12.3    20    965 ms    608 ms    221
+#    168    840    12.3     1    8.0 ms    6.5 ms    242
+#    306   1394     8.0     2     31 ms     25 ms    360
+#    330   1770    12.3     1     40 ms    8.9 ms    871
+#    514   1024    36.6     2    153 ms     41 ms   1162   star
+#   1026   2048    51.7     2   1036 ms     86 ms   3652   star
+#
+# Below a ratio of about 80, Krylov's fixed cost of norm estimation and
+# per-output products dominates; above about 250 one eigh costs more than the
+# whole Krylov run.  In between, the two come within a factor of 1.6 of
+# each other and can swap order from run to run (dim 462 at t = 20 took
+# 178 ms dense against 240 ms Krylov in a second run); the split at 150 sits
+# in that band.
 DENSE_EIG_DIM = 1400
+KRYLOV_COST_RATIO = 150.0
 # A driven step pays for its dense exponentials every step, not once, so dense
 # `expm` beats Krylov `expm_multiply` only on small spaces: one CF4 step at
 # dim 30 takes 0.3 ms dense against 1.9 ms Krylov, at dim 72 1.7 ms against
@@ -127,8 +162,11 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
            keep_states: bool = False) -> Trajectory:
     """Propagate psi0 under the dilated Hamiltonian and record the trajectory.
 
-    Time-independent Hamiltonians use a dense eigendecomposition (small
-    dimensions) or Krylov `expm_multiply` stepping; time-dependent ones use a
+    Time-independent Hamiltonians use one dense eigendecomposition or Krylov
+    `expm_multiply` over the whole output grid, whichever costs less by
+    estimate: dense costs dim^3, Krylov `KRYLOV_COST_RATIO` times
+    nnz (||H||_1 t_final + output count), and dense never runs above
+    `DENSE_EIG_DIM`.  Time-dependent ones use a
     commutator-free fourth-order scheme with step halving until the
     Richardson estimate meets the tolerance.  At or below
     `DENSE_EXPM_DIM` a driven Hamiltonian is converted to dense arrays once
@@ -166,9 +204,13 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
 def _propagate_const(h, psi0, times):
     dim = psi0.size
     if dim <= DENSE_EIG_DIM:
-        vals, vecs = eigh(h.toarray())
-        coeff = vecs.conj().T @ psi0
-        return [vecs @ (np.exp(-1j * vals * t) * coeff) for t in times]
+        # exact sparse 1-norm: the quantity expm_multiply's step count follows
+        norm1 = float(abs(h).sum(axis=0).max())
+        krylov_cost = h.nnz * (norm1 * (times[-1] - times[0]) + len(times))
+        if dim**3 < KRYLOV_COST_RATIO * krylov_cost:
+            vals, vecs = eigh(h.toarray())
+            coeff = vecs.conj().T @ psi0
+            return [vecs @ (np.exp(-1j * vals * t) * coeff) for t in times]
     out = expm_multiply(-1j * h.tocsc(), psi0, start=times[0], stop=times[-1],
                         num=len(times), endpoint=True)
     return list(out)

@@ -27,6 +27,11 @@ import scipy.sparse as sp
 from .errors import DimensionOverflow, ShapeMismatch
 
 STATE_CAP = 2**24
+# Largest assembled Hamiltonian, in estimated CSR bytes, that a run may build
+# (`hamiltonian_bytes`).  Assembly peaks at about 3x the finished matrix: a
+# 350 MB one at dim 1.4M peaked at 1.0 GB RSS.  The largest benchmark
+# Hamiltonian (dim 21,252) takes 3.3 MB.
+HAMILTONIAN_BYTES_CAP = 2**28
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -406,6 +411,30 @@ def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
         else:
             profiled.append((term, profile))
     return h_const, profiled
+
+
+def hamiltonian_bytes(model: SystemModel, space: TruncatedSpace) -> int:
+    """Upper estimate of the CSR bytes of `build_hamiltonian_parts`' output.
+
+    Sums the nonzeros of every lifted block, known from the occupation table
+    before anything is assembled: each bath's quadratic form (diagonal and
+    hops) on every system state, each jump term and its adjoint against the
+    raising block, and each system term on every environment state.  A
+    nonzero takes 16 bytes of complex value and 4 of column index.
+    """
+    occupied = int(np.count_nonzero(space.table))
+    hops = int(np.count_nonzero(space.table[:, :-1]))
+    other_baths = space.block_size ** (space.baths - 1)
+
+    def system_nnz(terms):
+        return sum(int(np.count_nonzero(mat))
+                   * model.d ** (model.n - len(support))
+                   for support, mat, _ in terms)
+
+    bath_terms = (space.baths * space.sys_dim * (space.block_size + 2 * hops)
+                  + 2 * occupied * system_nnz(model.jumps))
+    nnz = other_baths * bath_terms + space.env_dim * system_nnz(model.hs_terms)
+    return 20 * nnz + 4 * (space.dimension + 1)
 
 
 def build_hamiltonian(model: SystemModel, chains, space: TruncatedSpace,

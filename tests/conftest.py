@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nmk_sim import dynamics as dyn
 from nmk_sim import kernels as ker
 
 
@@ -21,3 +22,17 @@ def lorentzian_coupling(lorentzian_kernel):
     mol = ker.Mollifier(0.05)
     return ker.regularize(lorentzian_kernel, mol,
                           ker.choose_grid(lorentzian_kernel, mol))
+
+
+@pytest.fixture()
+def eigh_calls(monkeypatch):
+    """Dimensions of the matrices passed to the dense propagator's `eigh`."""
+    calls = []
+    eigh = dyn.eigh
+
+    def counting(a):
+        calls.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(dyn, "eigh", counting)
+    return calls

@@ -140,6 +140,36 @@ def test_oversized_star_space_fails_before_chain_run(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+def _ring_doc(modes):
+    """Three qubits in a ZZ ring, one sigma_x jump into a desk bath per site."""
+    zz = [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
+          [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    doc = _base_doc(mode="certify", modes=modes, particle_cap=1)
+    doc["system"] = {
+        "n": 3, "d": 2,
+        "hamiltonian": [{"support": [q, (q + 1) % 3], "matrix": {"re": zz},
+                         "scale": 0.5} for q in range(3)],
+        "jumps": [{"support": [q], "matrix": "sigma_x", "bath": q}
+                  for q in range(3)],
+        "initial": {"basis_state": 0},
+    }
+    doc["baths"] = doc["baths"] * 3
+    return doc
+
+
+def test_oversized_certify_refinement_fails_before_any_work(tmp_path, capsys):
+    # base dim 2744; the cap-3 refinement has dim 4.7M, under STATE_CAP, but
+    # its Hamiltonian would take gigabytes
+    path = _write(tmp_path, _ring_doc(6))
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = cli.main(["certify", "--config", path, "--out", str(out)])
+    assert code == 3
+    assert "exceeds cap" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5.0
+    assert not (out / "trajectory.csv").exists()
+
+
 # -- chain-map ---------------------------------------------------------------------
 
 def test_chain_map_flat_kernel_matches_legendre(tmp_path):
@@ -268,6 +298,29 @@ def test_certify_single_photon_state_constants(tmp_path):
     # photon states carry nonzero regularization-slope constants
     assert budget["regularization"] > 0.0
     assert budget["initialization"] >= 0.0
+
+
+def test_certify_single_photon_gaps_below_certificates(tmp_path):
+    # the modes + 8 refinement starts from the padded base photon, so the
+    # chain row measures the chain alone; the re-projection of the photon is
+    # measured in the initialization row
+    doc = _shipped("lorentzian-desk.json")
+    doc["t_final"] = 0.5
+    doc["baths"][0]["initial"] = {
+        "type": "single_photon",
+        "wavepacket": {"center": 0.0, "width": 0.5},
+    }
+    path = _write(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--config", path, "--out", str(out)]) == 0
+    rows = (out / "report.csv").read_text().strip().split("\n")
+    assert rows[0] == "kind,certified,measured"
+    measured = {}
+    for row in rows[1:]:
+        kind, certified, gap = row.split(",")
+        assert float(certified) >= float(gap), kind
+        measured[kind] = float(gap)
+    assert measured["initialization"] > 0.0
 
 
 def test_certify_coherent_state_unsupported(tmp_path, capsys):

@@ -94,6 +94,34 @@ def test_krylov_path_matches_eigendecomposition(monkeypatch):
     assert gap < 1e-8
 
 
+def test_long_desk_chain_takes_dense_eigh(eigh_calls, lorentzian_coupling):
+    # dim 330 to t = 20 (401 outputs): Krylov pays ||H||_1 t and every
+    # output, dense one eigh; dense is about 5x faster here
+    model = _qubit_model(hs=0.5 * SIGMA_Z, jump=SIGMA_X)
+    chain = star_to_chain(lorentzian_coupling, 3.0, 8)
+    space = enumerate_basis(1, 2, 1, 8, 3)
+    assert space.dimension >= 300
+    evolve(model, [chain], space, _vacuum_start(space), 20.0,
+           StepControl(out_step=0.05)).validate()
+    assert eigh_calls == [space.dimension]
+
+
+@pytest.mark.parametrize("ceiling, expected", [(89, 0), (90, 1)],
+                         ids=["above", "at"])
+def test_dense_eigh_never_above_ceiling(monkeypatch, eigh_calls,
+                                        lorentzian_coupling, ceiling, expected):
+    # even at an infinite Krylov cost, a dim-90 Hamiltonian above the
+    # DENSE_EIG_DIM ceiling takes Krylov
+    monkeypatch.setattr(dyn, "KRYLOV_COST_RATIO", math.inf)
+    monkeypatch.setattr(dyn, "DENSE_EIG_DIM", ceiling)
+    model = _qubit_model(hs=0.5 * SIGMA_Z, jump=SIGMA_X)
+    space = enumerate_basis(1, 2, 1, 8, 2)
+    assert space.dimension == 90
+    evolve(model, [star_to_chain(lorentzian_coupling, 3.0, 8)], space,
+           _vacuum_start(space), 0.5, StepControl(out_step=0.25))
+    assert len(eigh_calls) == expected
+
+
 def test_time_dependent_matches_commuting_closed_form():
     # H(t) = cos(nu t) sigma_x / 2 commutes with itself at all times:
     # P_e(t) = cos^2(sin(nu t) / (2 nu)).

@@ -22,6 +22,7 @@ from nmk_sim.fock import (
     build_hamiltonian,
     embed_system_operator,
     enumerate_basis,
+    hamiltonian_bytes,
     hamiltonian_norm_estimate,
     ladder,
     project_particle_sector,
@@ -209,6 +210,25 @@ def test_nonzeros_per_row_bound(desk_setup):
     per_row = np.diff(h.tocsr().indptr)
     fanout = 2  # single-qubit system terms
     assert per_row.max() <= fanout + 2 * space.baths + 2 * space.baths * space.modes
+
+
+def test_hamiltonian_bytes_bounds_assembled_matrix():
+    # a qubit pair with a ZZ coupling, two baths and two jumps on bath 0
+    zz = np.kron(SIGMA_Z, SIGMA_Z)
+    model = SystemModel(2, 2,
+                        hs_terms=[((0, 1), zz, TimeProfile()),
+                                  ((1,), 0.3 * SIGMA_X, TimeProfile("cos", 1.0))],
+                        jumps=[((0,), SIGMA_X, 0), ((1,), SIGMA_MINUS, 0),
+                               ((1,), SIGMA_X, 1)])
+    for modes, cap in ((1, 1), (3, 2), (5, 3)):
+        space = enumerate_basis(2, 2, 2, modes, cap)
+        baths = [ChainCoefficients(np.linspace(-1.0, 1.0, modes),
+                                   np.full(modes - 1, 0.5), 0.7, 2.0, modes)
+                 for _ in range(2)]
+        h = build_hamiltonian(model, baths, space, 0.4).matrix
+        got = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+        estimate = hamiltonian_bytes(model, space)
+        assert got <= estimate <= 2 * got
 
 
 def test_shape_mismatch_rejected(desk_setup):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nmk_sim import dynamics as dyn
 from nmk_sim import kernels as ker
 from nmk_sim.chain import star_to_chain
 from nmk_sim.dynamics import StepControl, evolve, trace_distance
@@ -73,6 +74,23 @@ def test_star_rejects_driven_system():
                                      [InitialEnvState()])
     with pytest.raises(StepControlFailure):
         star_evolve(driven, [star], 1, psi0, 1.0)
+
+
+def test_large_star_takes_krylov(monkeypatch, eigh_calls, lorentzian_coupling):
+    # dim 514, nnz 1024: one dense eigh costs more than the Krylov run to t = 2
+    model = _qubit(hs=0.5 * SIGMA_Z)
+    star = StarDiscretization.from_coupling(lorentzian_coupling, 3.0, 256)
+    space = enumerate_basis(1, 2, 1, 256, 1)
+    psi0, _ = assemble_initial_state(space, np.array([1.0, 0.0]),
+                                     [InitialEnvState()])
+    ctl = StepControl(out_step=0.05)
+    krylov = star_evolve(model, [star], 1, psi0, 2.0, ctl, keep_states=True)
+    assert eigh_calls == []
+    monkeypatch.setattr(dyn, "KRYLOV_COST_RATIO", math.inf)
+    dense = star_evolve(model, [star], 1, psi0, 2.0, ctl, keep_states=True)
+    assert eigh_calls == [514]
+    assert max(np.linalg.norm(a - b)
+               for a, b in zip(krylov.states, dense.states)) < 1e-12
 
 
 def test_star_vs_chain_converge(lorentzian_coupling):
