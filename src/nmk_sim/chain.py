@@ -10,7 +10,7 @@ hoppings; its spectral decomposition yields nodes and weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
@@ -58,6 +58,8 @@ class ChainCoefficients:
     v_norm: float           # L2 norm of the cutoff coupling
     omega_c: float
     modes: int
+    # (nodes, weights) the map ran Lanczos on; in memory only, not in JSON
+    measure: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         onsite = np.asarray(self.onsite, dtype=float)
@@ -172,10 +174,10 @@ def gauss_quadrature(coupling: RegularizedCoupling, omega_c: float,
         raise ValueError("need at least one node")
     if coupling.grid.size and (coupling.grid[0] > -omega_c or coupling.grid[-1] < omega_c):
         raise ValueError("coupling grid does not cover [-omega_c, omega_c]")
-    alpha, beta, _, _ = _refined_jacobi(coupling, omega_c, count)
+    coeffs = star_to_chain(coupling, omega_c, count)
     if count == 1:
-        return QuadratureRule(np.array([alpha[0]]), np.array([1.0]), 1)
-    nodes, vecs = eigh_tridiagonal(alpha, beta)
+        return QuadratureRule(coeffs.onsite, np.array([1.0]), 1)
+    nodes, vecs = eigh_tridiagonal(coeffs.onsite, coeffs.hopping)
     weights = vecs[0, :] ** 2
     weights = weights / float(np.sum(weights))
     return QuadratureRule(nodes, weights, count)
@@ -186,11 +188,12 @@ def star_to_chain(coupling: RegularizedCoupling, omega_c: float,
     """Map the coupling on [-omega_c, omega_c] to tridiagonal chain form."""
     if modes < 1:
         raise ValueError("need at least one chain mode")
-    alpha, beta, mass, _ = _refined_jacobi(coupling, omega_c, modes)
+    alpha, beta, mass, measure = _refined_jacobi(coupling, omega_c, modes)
     slack = 1e-9 * max(1.0, omega_c)
     onsite = np.clip(alpha, -omega_c - slack, omega_c + slack)
     hopping = np.clip(beta, 0.0, omega_c + slack)
-    return ChainCoefficients(onsite, hopping, math.sqrt(mass), omega_c, modes)
+    return ChainCoefficients(onsite, hopping, math.sqrt(mass), omega_c, modes,
+                             measure=measure)
 
 
 def chain_propagate_single(coeffs: ChainCoefficients, c0, t: float):
@@ -233,21 +236,23 @@ def chain_error_bound_value(v_norm_sq: float, omega_c: float, modes: int,
     return math.exp(log_b)
 
 
-def chain_error_single(coeffs: ChainCoefficients, coupling: RegularizedCoupling,
-                       t):
+def chain_error_single(coeffs: ChainCoefficients, t):
     """(actual, bound) for the single-particle chain truncation at time(s) t.
 
     actual = (1/2) || tau_t v - nu_t v ||^2 computed via quadrature of the
-    pointwise residual |sum_j c_j(t) q_j(w) - exp(-i w t)|^2 |vhat(w)|^2, so
-    no large cancellation occurs; bound is the a-priori certificate.  `t` may
+    pointwise residual |sum_j c_j(t) q_j(w) - exp(-i w t)|^2 |vhat(w)|^2
+    against the discrete measure `star_to_chain` kept on the chain, so no
+    large cancellation occurs; bound is the a-priori certificate.  `t` may
     be a scalar (two floats are returned) or an array of times (two arrays
-    of its shape); the chain map, spectrum and polynomials are built once for
-    all times, and actual is exactly 0 where t == 0.
+    of its shape); the spectrum and polynomials are built once for all
+    times, and actual is exactly 0 where t == 0.
     """
+    if coeffs.measure is None:
+        raise ValueError("chain has no discrete measure: map it with star_to_chain")
     times = np.asarray(t, dtype=float)
     ts = times.ravel()
-    _, _, mass, (lam, wts) = _refined_jacobi(coupling, coeffs.omega_c,
-                                             coeffs.modes)
+    lam, wts = coeffs.measure
+    mass = float(np.sum(wts))
     bound = np.array([chain_error_bound_value(mass, coeffs.omega_c,
                                               coeffs.modes, float(s))
                       for s in ts])

@@ -157,6 +157,13 @@ def _cf4_step(h_of_t, t, dt, psi):
     return psi
 
 
+def output_times(t_final: float, out_step: float) -> np.ndarray:
+    """round(t_final / out_step) >= 1 equal steps from 0 to t_final; chain
+    and star runs both record on this grid."""
+    n_out = max(int(round(t_final / out_step)), 1)
+    return np.linspace(0.0, t_final, n_out + 1)
+
+
 def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
            t_final: float, dt_control: StepControl | None = None,
            keep_states: bool = False) -> Trajectory:
@@ -171,16 +178,14 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
     Richardson estimate meets the tolerance.  At or below
     `DENSE_EXPM_DIM` a driven Hamiltonian is converted to dense arrays once
     and each step takes dense `expm` exponentials; above it the steps stay
-    sparse and use Krylov `expm_multiply`.
+    sparse and use Krylov `expm_multiply`.  States are recorded on
+    `output_times(t_final, out_step)`, the grid the star oracle also uses.
     """
     ctl = dt_control or StepControl()
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (space.dimension,):
         raise ValueError("initial state has wrong dimension")
-    n_out = max(int(round(t_final / ctl.out_step)), 1)
-    times = np.linspace(0.0, n_out * ctl.out_step, n_out + 1)
-    if abs(times[-1] - t_final) > 1e-12:
-        times = np.linspace(0.0, t_final, n_out + 1)
+    times = output_times(t_final, ctl.out_step)
 
     h_const, profiled = build_hamiltonian_parts(model, chains, space)
     if not profiled:
@@ -361,7 +366,7 @@ def cutoff_error_bound(jump_norms, couplings, omega_c: float, t: float,
     return math.sqrt(max(2.0 / math.sqrt(omega_c) * total, 0.0))
 
 
-def chain_error_bound(jump_norms, couplings, chains, t: float,
+def chain_error_bound(jump_norms, chains, t: float,
                       mu1_0: float = 0.0, n_sup: int = 64,
                       use_certificate: bool = False) -> float:
     """Norm-distance bound between cutoff dynamics and its chain group.
@@ -378,7 +383,7 @@ def chain_error_bound(jump_norms, couplings, chains, t: float,
     gsum = sum(l * c.v_norm for l, c in zip(jump_norms, chains))
     prefactor = 2.0 * t * math.sqrt(1.0 + 2.0 * mu1_0 + 2.0 * t**2 * gsum**2)
     total = 0.0
-    for l_norm, coupling, coeffs in zip(jump_norms, couplings, chains):
+    for l_norm, coeffs in zip(jump_norms, chains):
         if l_norm == 0.0:
             continue
         if use_certificate:
@@ -387,7 +392,7 @@ def chain_error_bound(jump_norms, couplings, chains, t: float,
             sup = math.sqrt(2.0 * half_sq) if math.isfinite(half_sq) else math.inf
         else:
             svals = np.linspace(0.0, t, n_sup)
-            worst = float(np.max(chain_error_single(coeffs, coupling, svals)[0]))
+            worst = float(np.max(chain_error_single(coeffs, svals)[0]))
             sup = 1.1 * math.sqrt(2.0 * worst)
         total += l_norm * sup
     return prefactor * total
@@ -535,7 +540,7 @@ def assemble_error_budget(model: SystemModel, kernels, couplings, chains,
                                         hs_commutator_sups=comms)
     omega_c = chains[0].omega_c
     cut = cutoff_error_bound(jump_norms, couplings, omega_c, t, mu1_0)
-    chn = chain_error_bound(jump_norms, couplings, chains, t, mu1_0)
+    chn = chain_error_bound(jump_norms, chains, t, mu1_0)
     strengths = [jump_norms[a] * chains[a].v_norm for a in range(m)]
     trunc = truncation_certificate(space.cap, t, strengths, mu1_0=[mu1_0] * m)
     params = {"epsilon": couplings[0].epsilon, "omega_c": omega_c,

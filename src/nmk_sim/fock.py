@@ -447,18 +447,6 @@ def build_hamiltonian(model: SystemModel, chains, space: TruncatedSpace,
     return SparseOperator(space.dimension, h.tocsr(), hermitian=True)
 
 
-def hamiltonian_norm_estimate(model: SystemModel, chains,
-                              space: TruncatedSpace, t: float = 0.0) -> float:
-    """A-priori bound ||H|| <= ||H_S|| + 2 sqrt(p+1) sum ||L|| ||v||
-    + p M N_m omega_c + 2 omega_c (p+1) M (N_m - 1)."""
-    hs_norm = float(np.linalg.norm(model.hs_matrix(t), 2))
-    p, m, nm = space.cap, space.baths, space.modes
-    coup = sum(model.jump_norm(a) * chains[a].v_norm for a in range(m))
-    wc = max(c.omega_c for c in chains)
-    return (hs_norm + 2.0 * math.sqrt(p + 1) * coup
-            + p * m * nm * wc + 2.0 * wc * (p + 1) * m * (nm - 1))
-
-
 def project_particle_sector(space: TruncatedSpace, state, cap: int):
     """Zero amplitudes with any bath occupation above `cap` (idempotent)."""
     if cap > space.cap:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import StepControl, Trajectory, _collect, _propagate_const
+from .dynamics import (StepControl, Trajectory, _collect, _propagate_const,
+                       output_times)
 from .errors import ShapeMismatch, StepControlFailure
 from .fock import (SystemModel, TruncatedSpace, build_hamiltonian_parts,
                    enumerate_basis)
@@ -64,7 +65,8 @@ def star_evolve(model: SystemModel, stars, cap: int, psi0, t_final: float,
                 dt_control: StepControl | None = None,
                 keep_states: bool = False,
                 space: TruncatedSpace | None = None) -> Trajectory:
-    """Unitary trajectory on the star-geometry truncated space."""
+    """Unitary trajectory on the star-geometry truncated space, recorded on
+    `output_times` like the chain's, so the two pair up row by row."""
     ctl = dt_control or StepControl()
     stars = list(stars)
     if space is None:
@@ -73,8 +75,7 @@ def star_evolve(model: SystemModel, stars, cap: int, psi0, t_final: float,
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (space.dimension,):
         raise ShapeMismatch("initial state has wrong dimension")
-    n_out = max(int(round(t_final / ctl.out_step)), 1)
-    times = np.linspace(0.0, t_final, n_out + 1)
+    times = output_times(t_final, ctl.out_step)
     states = _propagate_const(h, psi0, times)
     return _collect(space, times, states, keep_states, oracle=True)
 
@@ -115,8 +116,7 @@ def lindblad_evolve(model: SystemModel, rates, rho0, t_final: float,
         k4 = rhs(rho + dt * k3)
         return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    n_out = max(int(round(t_final / out_step)), 1)
-    times = np.linspace(0.0, t_final, n_out + 1)
+    times = output_times(t_final, out_step)
 
     def run(n_sub):
         rhos = [rho0]

@@ -169,14 +169,14 @@ def test_propagate_preserves_norm(t):
 
 def test_chain_error_zero_at_zero(flat_coupling):
     coeffs = star_to_chain(flat_coupling, 1.0, 6)
-    actual, bound = chain_error_single(coeffs, flat_coupling, 0.0)
+    actual, bound = chain_error_single(coeffs, 0.0)
     assert actual == 0.0 and bound == 0.0
 
 
 def test_chain_error_below_bound_resolvable(flat_coupling):
     coeffs = star_to_chain(flat_coupling, 1.0, 6)
     for t in (1.0, 2.0, 3.0):
-        actual, bound = chain_error_single(coeffs, flat_coupling, t)
+        actual, bound = chain_error_single(coeffs, t)
         assert 0.0 <= actual <= bound
 
 
@@ -184,7 +184,7 @@ def test_chain_error_monotone_trends(flat_coupling):
     """Non-decreasing in t at fixed modes; decreasing in modes at fixed t
     once modes > 2 e omega_c t."""
     coeffs = star_to_chain(flat_coupling, 1.0, 6)
-    errs = [chain_error_single(coeffs, flat_coupling, t)[0]
+    errs = [chain_error_single(coeffs, t)[0]
             for t in np.linspace(0.5, 3.0, 6)]
     assert all(b >= a - 1e-14 for a, b in zip(errs, errs[1:]))
 
@@ -199,7 +199,7 @@ def test_chain_error_monotone_trends(flat_coupling):
 def test_flat_mp_matches_float64(flat_coupling):
     coeffs = star_to_chain(flat_coupling, 1.0, 6)
     for t in (1.0, 3.0):
-        a64, b64 = chain_error_single(coeffs, flat_coupling, t)
+        a64, b64 = chain_error_single(coeffs, t)
         amp, bmp = flat_chain_error_mp(1.0, 6, t)
         assert a64 == pytest.approx(amp, rel=1e-6, abs=1e-13)
         assert b64 == pytest.approx(bmp, rel=1e-10)
@@ -210,17 +210,17 @@ def test_chain_error_over_times_matches_scalar_calls(flat_coupling):
     # residual quadrature, so the two evaluation orders agree to rounding
     coeffs = star_to_chain(flat_coupling, 1.0, 3)
     ts = np.linspace(0.0, 3.0, 17)
-    actual, bound = chain_error_single(coeffs, flat_coupling, ts)
+    actual, bound = chain_error_single(coeffs, ts)
     assert actual.shape == bound.shape == ts.shape
     assert actual[0] == 0.0 and bound[0] == 0.0
     for k, t in enumerate(ts[1:], start=1):
-        a, b = chain_error_single(coeffs, flat_coupling, t)
+        a, b = chain_error_single(coeffs, t)
         assert isinstance(a, float) and isinstance(b, float)
         assert actual[k] == pytest.approx(a, rel=1e-13, abs=0.0)
         assert bound[k] == b
 
 
-def test_chain_error_bound_runs_chain_map_once(flat_coupling, monkeypatch):
+def test_chain_error_bound_reuses_stored_measure(flat_coupling, monkeypatch):
     calls = []
     refined = chain._refined_jacobi
 
@@ -230,9 +230,17 @@ def test_chain_error_bound_runs_chain_map_once(flat_coupling, monkeypatch):
 
     coeffs = star_to_chain(flat_coupling, 1.0, 4)
     monkeypatch.setattr(chain, "_refined_jacobi", counting)
-    value = dyn.chain_error_bound([1.0], [flat_coupling], [coeffs], 2.0)
-    assert len(calls) == 1
+    value = dyn.chain_error_bound([1.0], [coeffs], 2.0)
+    assert calls == []
     assert value > 0.0
+
+
+def test_chain_error_needs_stored_measure(flat_coupling):
+    coeffs = star_to_chain(flat_coupling, 1.0, 4)
+    loaded = ChainCoefficients.from_json_dict(coeffs.to_json_dict())
+    assert loaded.measure is None
+    with pytest.raises(ValueError, match="discrete measure"):
+        chain_error_single(loaded, 1.0)
 
 
 def test_bound_overflow_is_inf():

@@ -254,19 +254,28 @@ def test_certify_budget_dominates_gaps(tmp_path):
 
 def test_certify_maps_each_chain_once(tmp_path, monkeypatch):
     # the particle-cap refinement reuses the base chains; the cutoff and
-    # modes refinements map their own
+    # modes refinements map their own, and the chain budget term reads the
+    # measure the base chain kept instead of rerunning discretize + Lanczos
     calls = []
     star_to_chain = cli.chain_mod.star_to_chain
+    refined_calls = []
+    refined_jacobi = cli.chain_mod._refined_jacobi
 
     def counting(coupling, omega_c, modes):
         calls.append((omega_c, modes))
         return star_to_chain(coupling, omega_c, modes)
 
+    def counting_refined(coupling, omega_c, n):
+        refined_calls.append((omega_c, n))
+        return refined_jacobi(coupling, omega_c, n)
+
     monkeypatch.setattr(cli.chain_mod, "star_to_chain", counting)
+    monkeypatch.setattr(cli.chain_mod, "_refined_jacobi", counting_refined)
     assert cli.main(["certify", "--config",
                      os.path.join(CONFIGS, "lorentzian-desk.json"),
                      "--out", str(tmp_path / "out")]) == 0
     assert calls == [(3.0, 8), (6.0, 8), (3.0, 16)]
+    assert refined_calls == calls
 
 
 def test_single_photon_environment(tmp_path):
@@ -350,6 +359,25 @@ def test_compare_oracle_report(tmp_path):
     assert all(d < 5e-3 for d in dists)
     oracle_rows = (out / "oracle-trajectory.csv").read_text().strip().split("\n")
     assert oracle_rows[1].split(",")[-1] == "1"  # oracle flag column
+
+
+def test_compare_oracle_shares_output_times(tmp_path):
+    # 3 * 0.1 is 0.30000000000000004: both runs must record on one grid
+    # ending at t_final, so their rows pair up by time
+    doc = _base_doc(mode="compare-oracle", t_final=0.3, out_step=0.1)
+    doc["oracle"] = {"star_modes": 24}
+    path = _write(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main(["compare-oracle", "--config", path, "--out", str(out)]) == 0
+
+    def times(name):
+        rows = (out / name).read_text().strip().split("\n")[1:]
+        return [r.split(",")[0] for r in rows]
+
+    chain_t = times("trajectory.csv")
+    assert chain_t == times("oracle-trajectory.csv") == times("report.csv")
+    assert [float(t) for t in chain_t] == pytest.approx([0.0, 0.1, 0.2, 0.3])
+    assert float(chain_t[-1]) == 0.3
 
 
 # -- sweep --------------------------------------------------------------------------

@@ -318,8 +318,8 @@ def test_cutoff_bound_dominates_measured(lorentzian_coupling):
 
 def test_chain_bound_trivial_zeros(flat_coupling):
     coeffs = star_to_chain(flat_coupling, 1.0, 6)
-    assert chain_error_bound([1.0], [flat_coupling], [coeffs], 0.0) == 0.0
-    assert chain_error_bound([0.0], [flat_coupling], [coeffs], 1.0) == 0.0
+    assert chain_error_bound([1.0], [coeffs], 0.0) == 0.0
+    assert chain_error_bound([0.0], [coeffs], 1.0) == 0.0
 
 
 def test_chain_bound_flat_twenty_modes(flat_coupling):
@@ -328,8 +328,8 @@ def test_chain_bound_flat_twenty_modes(flat_coupling):
     unit = ker.RegularizedCoupling.from_samples(grid, np.full(257, math.sqrt(0.5)))
     coeffs = star_to_chain(unit, 1.0, 20)
     assert coeffs.v_norm == pytest.approx(1.0, rel=1e-10)
-    sampled = chain_error_bound([1.0], [unit], [coeffs], 1.0, n_sup=16)
-    certified = chain_error_bound([1.0], [unit], [coeffs], 1.0,
+    sampled = chain_error_bound([1.0], [coeffs], 1.0, n_sup=16)
+    certified = chain_error_bound([1.0], [coeffs], 1.0,
                                   use_certificate=True)
     assert sampled < 1e-3
     assert certified < 1e-3
@@ -351,7 +351,7 @@ def test_chain_bound_dominates_measured(flat_coupling):
         rhos[modes] = traj.rho_s
     measured = max(trace_distance(a, b) for a, b in zip(rhos[4], rhos[12]))
     coeffs4 = star_to_chain(unit, 1.0, 4)
-    cert = chain_error_bound([1.0], [unit], [coeffs4], t_final)
+    cert = chain_error_bound([1.0], [coeffs4], t_final)
     assert cert >= measured
 
 

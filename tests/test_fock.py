@@ -23,7 +23,6 @@ from nmk_sim.fock import (
     embed_system_operator,
     enumerate_basis,
     hamiltonian_bytes,
-    hamiltonian_norm_estimate,
     ladder,
     project_particle_sector,
     project_wavepacket,
@@ -195,13 +194,6 @@ def test_hamiltonian_hermitian_for_sampled_times(desk_setup):
     for t in (0.0, 0.7, 2.1):
         op = build_hamiltonian(driven, [coeffs], space, t)
         assert op.hermitian  # constructor verifies A = A^dag
-
-
-def test_gershgorin_below_norm_estimate(desk_setup):
-    model, coeffs, space = desk_setup
-    h = build_hamiltonian(model, [coeffs], space).matrix.toarray()
-    gershgorin = float(np.max(np.sum(np.abs(h), axis=1)))
-    assert gershgorin <= hamiltonian_norm_estimate(model, [coeffs], space)
 
 
 def test_nonzeros_per_row_bound(desk_setup):
