@@ -23,6 +23,7 @@ from .dynamics import (
     measure_moments,
     moment_bound,
     regularization_error_bound,
+    regularization_term,
     trace_distance,
     truncation_certificate,
 )
@@ -56,7 +57,8 @@ __all__ = [
     "ErrorBudget", "StateConstants", "StepControl", "Trajectory",
     "assemble_error_budget", "chain_error_bound", "cutoff_error_bound",
     "evolve", "measure_moments", "moment_bound",
-    "regularization_error_bound", "trace_distance", "truncation_certificate",
+    "regularization_error_bound", "regularization_term", "trace_distance",
+    "truncation_certificate",
     "InitialEnvState", "SparseOperator", "SystemModel", "TruncatedSpace",
     "build_hamiltonian", "enumerate_basis", "ladder",
     "project_particle_sector",

@@ -49,7 +49,7 @@ class QuadratureRule:
             raise ValueError("weights must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainCoefficients:
     """Tridiagonal chain parameters produced by the star-to-chain map."""
 
@@ -59,7 +59,7 @@ class ChainCoefficients:
     omega_c: float
     modes: int
     # (nodes, weights) the map ran Lanczos on; in memory only, not in JSON
-    measure: tuple | None = field(default=None, repr=False, compare=False)
+    measure: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         onsite = np.asarray(self.onsite, dtype=float)

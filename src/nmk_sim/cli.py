@@ -158,10 +158,6 @@ class ExperimentConfig:
             sys_initial = np.zeros(d**n, dtype=complex)
             sys_initial[init.get("basis_state", 0)] = 1.0
 
-        sweep_axes = dict(sorted(doc.get("sweep", {}).items()))
-        if doc["mode"] == "sweep" and not sweep_axes:
-            raise SchemaViolation("at sweep: sweep mode needs non-empty axes")
-
         return cls(
             mode=doc["mode"], model=model, kernels=tuple(kernels),
             env_docs=env_docs, mollifier=mollifier,
@@ -169,7 +165,8 @@ class ExperimentConfig:
             modes=doc["modes"], particle_cap=doc["particle_cap"],
             t_final=doc["t_final"], out_step=doc.get("out_step", 0.05),
             star_modes=doc.get("oracle", {}).get("star_modes", 64),
-            sweep_axes=sweep_axes, sys_initial=sys_initial,
+            sweep_axes=dict(sorted(doc.get("sweep", {}).items())),
+            sys_initial=sys_initial,
         )
 
     @classmethod
@@ -184,12 +181,19 @@ class ExperimentConfig:
 
 # -- pipeline pieces -----------------------------------------------------------
 
-def _couplings(cfg: ExperimentConfig):
-    out = []
+def _regularized(cfg: ExperimentConfig):
+    """(couplings, regularization budget term); the term for certify only,
+    since other modes accept states and epsilons it is not computable for."""
+    couplings = []
     for kernel in cfg.kernels:
         grid = cfg.reg_grid or ker.choose_grid(kernel, cfg.mollifier)
-        out.append(ker.regularize(kernel, cfg.mollifier, grid))
-    return out
+        couplings.append(ker.regularize(kernel, cfg.mollifier, grid))
+    term = None
+    if cfg.mode == "certify":
+        term = dyn.regularization_term(cfg.model, cfg.kernels,
+                                       cfg.mollifier.epsilon, cfg.t_final,
+                                       _state_constants(cfg, couplings))
+    return couplings, term
 
 
 def _chains(couplings, omega_c, modes):
@@ -260,8 +264,8 @@ def _star_env_states(cfg, stars):
     return states
 
 
-def _state_constants(cfg, env_states, couplings):
-    kinds = [st.kind for st in env_states]
+def _state_constants(cfg, couplings):
+    kinds = [doc["type"] for doc in cfg.env_docs]
     if all(k == "vacuum" for k in kinds):
         return dyn.StateConstants.vacuum(len(kinds))
     if any(k == "coherent" for k in kinds):
@@ -281,14 +285,6 @@ def _state_constants(cfg, env_states, couplings):
             n1.append(float(np.trapezoid((1.0 + w**2) * xi2, w)))
             n2.append(float(np.trapezoid((1.0 + w**2) ** 2 * xi2, w)))
     return dyn.StateConstants.from_photon_counts(cfg.kernels, n1, n2)
-
-
-def _budget(cfg, couplings, chains, space, env_states, lost):
-    mu1_0 = sum(st.moments()[0] for st in env_states)
-    consts = _state_constants(cfg, env_states, couplings)
-    return dyn.assemble_error_budget(
-        cfg.model, cfg.kernels, couplings, chains, space, cfg.t_final,
-        state_constants=consts, mu1_0=mu1_0, initialization=lost)
 
 
 # -- artifact writers ----------------------------------------------------------
@@ -368,12 +364,12 @@ def _measured_gaps(cfg, couplings, space, chains, env, base_traj, cap_space,
     return gaps
 
 
-def _run_point(cfg: ExperimentConfig, out_dir, tag="", couplings=None):
+def _run_point(cfg: ExperimentConfig, out_dir, tag="", regularized=None):
     os.makedirs(out_dir, exist_ok=True)
     suffix = f"-{tag}" if tag else ""
 
     if cfg.mode == "chain-map":
-        chains = _chains(_couplings(cfg), cfg.cutoff_omega, cfg.modes)
+        chains = _chains(_regularized(cfg)[0], cfg.cutoff_omega, cfg.modes)
         _atomic_write(os.path.join(out_dir, f"chain{suffix}.json"),
                       _chain_json(chains))
         return {}
@@ -385,7 +381,7 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", couplings=None):
     if cfg.mode == "certify":
         cap_space = _space(cfg, cfg.modes, cfg.particle_cap + 2)
         long_space = _space(cfg, cfg.modes + 8, cfg.particle_cap)
-    couplings = couplings or _couplings(cfg)
+    couplings, reg_term = regularized or _regularized(cfg)
     chains = _chains(couplings, cfg.cutoff_omega, cfg.modes)
     env = _env_states(cfg, chains, couplings)
     traj, lost = _simulate(cfg, space, chains, env)
@@ -403,10 +399,9 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", couplings=None):
         star_env = _star_env_states(cfg, stars)
         psi0, _ = fock.assemble_initial_state(star_space, cfg.sys_initial,
                                               star_env)
-        star_traj = orc.star_evolve(cfg.model, stars, cfg.particle_cap, psi0,
+        star_traj = orc.star_evolve(cfg.model, stars, star_space, psi0,
                                     cfg.t_final,
-                                    dyn.StepControl(out_step=cfg.out_step),
-                                    space=star_space)
+                                    dyn.StepControl(out_step=cfg.out_step))
         star_traj.validate()
         _atomic_write(os.path.join(out_dir, f"oracle-trajectory{suffix}.csv"),
                       trajectory_csv(star_traj, star_space.sys_dim))
@@ -420,14 +415,15 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", couplings=None):
         return {}
 
     # certify (also the per-point payload of sweep)
-    budget = _budget(cfg, couplings, chains, space, env, lost)
+    budget = dyn.assemble_error_budget(
+        cfg.model, couplings, chains, space, cfg.t_final, reg_term,
+        mu1_0=sum(st.moments()[0] for st in env), initialization=lost)
     _atomic_write(os.path.join(out_dir, f"budget{suffix}.json"),
                   json.dumps(budget.to_json_dict(), indent=2, sort_keys=True) + "\n")
     gaps = _measured_gaps(cfg, couplings, space, chains, env, traj, cap_space,
                           long_space)
     lines = ["kind,certified,measured"]
-    for name in ("regularization", "cutoff", "chain", "truncation",
-                 "initialization"):
+    for name in budget.TERMS:
         measured = gaps.get(name, 0.0)
         lines.append(",".join([name, _fmt(getattr(budget, name)),
                                _fmt(measured)]))
@@ -459,13 +455,12 @@ def _point_config(cfg: ExperimentConfig, point) -> ExperimentConfig:
 
 
 def _sweep_worker(args):
-    cfg, point, out_dir, tag, couplings = args
+    cfg, point, out_dir, tag, regularized = args
     result = _run_point(_point_config(cfg, point), out_dir, tag=tag,
-                        couplings=couplings)
+                        regularized=regularized)
     row = dict(point)
     budget, gaps = result["budget"], result["gaps"]
-    for name in ("regularization", "cutoff", "chain", "truncation",
-                 "initialization"):
+    for name in budget.TERMS:
         row[f"cert_{name}"] = getattr(budget, name)
     row["cert_total"] = budget.total
     for name, val in gaps.items():
@@ -476,11 +471,12 @@ def _sweep_worker(args):
 def _run_sweep(cfg: ExperimentConfig, out_dir, jobs: int):
     points = list(_sweep_points(cfg))
     tags = [f"pt{idx:04d}" for idx in range(len(points))]
-    # couplings depend on the point only through epsilon: regularize once each
+    # couplings and the regularization term depend on the point only
+    # through epsilon: build them once each
     by_eps = {}
     for pt in points:
         if pt["epsilon"] not in by_eps:
-            by_eps[pt["epsilon"]] = _couplings(_point_config(cfg, pt))
+            by_eps[pt["epsilon"]] = _regularized(_point_config(cfg, pt))
     work = [(cfg, pt, out_dir, tag, by_eps[pt["epsilon"]])
             for pt, tag in zip(points, tags)]
     if jobs > 1:

@@ -487,6 +487,9 @@ def regularization_error_bound(jump_norms, kernels, eps: float, t: float,
 class ErrorBudget:
     """Itemized certified bounds; total is the plain sum of the terms."""
 
+    TERMS = ("regularization", "cutoff", "chain", "truncation",
+             "initialization")
+
     regularization: float
     cutoff: float
     chain: float
@@ -495,20 +498,16 @@ class ErrorBudget:
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("regularization", "cutoff", "chain", "truncation",
-                     "initialization"):
+        for name in self.TERMS:
             if getattr(self, name) < 0:
                 raise ValueError(f"budget term {name} must be nonnegative")
 
     @property
     def total(self):
-        return (self.regularization + self.cutoff + self.chain
-                + self.truncation + self.initialization)
+        return sum(getattr(self, name) for name in self.TERMS)
 
     def to_json_dict(self):
-        doc = {name: float(getattr(self, name))
-               for name in ("regularization", "cutoff", "chain", "truncation",
-                            "initialization")}
+        doc = {name: float(getattr(self, name)) for name in self.TERMS}
         doc["total"] = float(self.total)
         doc["parameters"] = dict(self.parameters)
         return doc
@@ -525,19 +524,26 @@ def hs_commutator_sup(model: SystemModel, bath: int, t: float,
     return worst
 
 
-def assemble_error_budget(model: SystemModel, kernels, couplings, chains,
+def regularization_term(model: SystemModel, kernels, eps: float, t: float,
+                        state_constants: StateConstants) -> float:
+    """Regularization budget term: the square root of
+    `regularization_error_bound`, independent of cutoff, modes and cap."""
+    jump_norms = [model.jump_norm(a) for a in range(len(kernels))]
+    comms = [hs_commutator_sup(model, a, t) for a in range(len(kernels))]
+    return math.sqrt(regularization_error_bound(
+        jump_norms, kernels, eps, t, state_constants,
+        hs_commutator_sups=comms))
+
+
+def assemble_error_budget(model: SystemModel, couplings, chains,
                           space: TruncatedSpace, t: float,
-                          state_constants: StateConstants | None = None,
-                          mu1_0: float = 0.0,
+                          regularization: float, mu1_0: float = 0.0,
                           initialization: float = 0.0) -> ErrorBudget:
-    """Evaluate all four pipeline bounds at the configured parameters."""
+    """Evaluate the cutoff, chain and truncation bounds at the configured
+    parameters; the regularization and initialization terms come as values
+    (see `regularization_term`)."""
     m = space.baths
     jump_norms = [model.jump_norm(a) for a in range(m)]
-    consts = state_constants or StateConstants.vacuum(m)
-    comms = [hs_commutator_sup(model, a, t) for a in range(m)]
-    reg_sq = regularization_error_bound(jump_norms, kernels,
-                                        couplings[0].epsilon, t, consts,
-                                        hs_commutator_sups=comms)
     omega_c = chains[0].omega_c
     cut = cutoff_error_bound(jump_norms, couplings, omega_c, t, mu1_0)
     chn = chain_error_bound(jump_norms, chains, t, mu1_0)
@@ -545,5 +551,5 @@ def assemble_error_budget(model: SystemModel, kernels, couplings, chains,
     trunc = truncation_certificate(space.cap, t, strengths, mu1_0=[mu1_0] * m)
     params = {"epsilon": couplings[0].epsilon, "omega_c": omega_c,
               "modes": space.modes, "particle_cap": space.cap, "t": t}
-    return ErrorBudget(math.sqrt(reg_sq), cut, chn, trunc, initialization,
+    return ErrorBudget(regularization, cut, chn, trunc, initialization,
                        parameters=params)

@@ -16,7 +16,7 @@ as eps -> 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -400,7 +400,7 @@ def mollifier_fourier(mollifier: Mollifier, omega):
 
 # -- regularized couplings ---------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularizedCoupling:
     """Square-integrable coupling vhat_eps sampled on a uniform grid.
 
@@ -416,8 +416,8 @@ class RegularizedCoupling:
     epsilon: float
     l2_norm: float
     sup_omega_vhat: float
-    kernel: MemoryKernel | None = field(default=None, compare=False)
-    mollifier: Mollifier | None = field(default=None, compare=False)
+    kernel: MemoryKernel | None = None
+    mollifier: Mollifier | None = None
 
     @classmethod
     def from_samples(cls, grid, values, epsilon=0.0):

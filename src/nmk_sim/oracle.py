@@ -19,8 +19,7 @@ import numpy as np
 from .dynamics import (StepControl, Trajectory, _collect, _propagate_const,
                        output_times)
 from .errors import ShapeMismatch, StepControlFailure
-from .fock import (SystemModel, TruncatedSpace, build_hamiltonian_parts,
-                   enumerate_basis)
+from .fock import SystemModel, TruncatedSpace, build_hamiltonian_parts
 from .kernels import RegularizedCoupling
 
 
@@ -61,17 +60,13 @@ def _star_hamiltonian(model: SystemModel, stars, space: TruncatedSpace):
     return h
 
 
-def star_evolve(model: SystemModel, stars, cap: int, psi0, t_final: float,
-                dt_control: StepControl | None = None,
-                keep_states: bool = False,
-                space: TruncatedSpace | None = None) -> Trajectory:
+def star_evolve(model: SystemModel, stars, space: TruncatedSpace, psi0,
+                t_final: float, dt_control: StepControl | None = None,
+                keep_states: bool = False) -> Trajectory:
     """Unitary trajectory on the star-geometry truncated space, recorded on
     `output_times` like the chain's, so the two pair up row by row."""
     ctl = dt_control or StepControl()
-    stars = list(stars)
-    if space is None:
-        space = enumerate_basis(model.n, model.d, len(stars), stars[0].count, cap)
-    h = _star_hamiltonian(model, stars, space)
+    h = _star_hamiltonian(model, list(stars), space)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (space.dimension,):
         raise ShapeMismatch("initial state has wrong dimension")

@@ -173,7 +173,7 @@ def test_criterion_5_unitarity_and_state_sanity(capfd, lorentzian_setup):
 
     star = StarDiscretization.from_coupling(lor, 3.0, 32)
     sspace = enumerate_basis(1, 2, 1, 32, 1)
-    trajs.append(star_evolve(_qubit(hs=0.5 * SIGMA_Z), [star], 1,
+    trajs.append(star_evolve(_qubit(hs=0.5 * SIGMA_Z), [star], sspace,
                              _vacuum(sspace), 2.0, StepControl(out_step=0.1)))
 
     driven = _qubit(hs=0.4 * SIGMA_X, jump=SIGMA_MINUS,
@@ -260,7 +260,7 @@ def test_criterion_8_oracle_equivalence(capfd, lorentzian_setup):
 
     star = StarDiscretization.from_coupling(lor, omega_c, 64)
     sspace = enumerate_basis(1, 2, 1, 64, 2)
-    star_traj = star_evolve(model, [star], 2, _vacuum(sspace), t_final,
+    star_traj = star_evolve(model, [star], sspace, _vacuum(sspace), t_final,
                             StepControl(out_step=0.05))
     star_traj.validate()
 
@@ -348,7 +348,7 @@ def test_criterion_11_delta_train_feedback(capfd):
                         StepControl(out_step=0.05))
     star = StarDiscretization.from_coupling(coupling, omega_c, star_modes)
     sspace = enumerate_basis(1, 2, 1, star_modes, 1)
-    star_traj = star_evolve(model, [star], 1, _vacuum(sspace), 2.0,
+    star_traj = star_evolve(model, [star], sspace, _vacuum(sspace), 2.0,
                             StepControl(out_step=0.05))
 
     worst = max(trace_distance(a, b)

@@ -126,6 +126,9 @@ def test_chain_json_round_trip(flat_coupling):
     assert np.allclose(back.onsite, coeffs.onsite)
     assert np.allclose(back.hopping, coeffs.hopping)
     assert back.v_norm == coeffs.v_norm
+    # chains compare by identity: no array-valued truth test to raise
+    assert back != coeffs
+    assert coeffs == coeffs
 
 
 def test_invariant_validation_rejects_bad_coefficients():

@@ -343,6 +343,8 @@ def test_certify_coherent_state_unsupported(tmp_path, capsys):
                      str(tmp_path / "o")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+    # the regularization term is checked before any artifact is written
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
 # -- compare-oracle -----------------------------------------------------------------
@@ -403,20 +405,24 @@ def test_sweep_grid_rows(tmp_path):
 
 
 def test_sweep_regularizes_once_per_epsilon(tmp_path, monkeypatch):
-    calls = []
-    regularize = cli.ker.regularize
+    calls = {"regularize": 0, "regularization_error_bound": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return regularize(*args, **kwargs)
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
 
     doc = _base_doc(mode="sweep")
     doc["sweep"] = {"modes": [4, 6]}
     out = tmp_path / "out"
-    monkeypatch.setattr(cli.ker, "regularize", counting)
+    counting(cli.ker, "regularize")
+    counting(cli.dyn, "regularization_error_bound")
     assert cli.main(["sweep", "--config", _write(tmp_path, doc),
                      "--out", str(out)]) == 0
-    assert len(calls) == 1
+    assert calls == {"regularize": 1, "regularization_error_bound": 1}
     monkeypatch.undo()
 
     # each point on its own regularizes for itself; the bytes must not move
@@ -449,3 +455,14 @@ def test_sweep_without_axes_rejected(tmp_path, capsys):
     path = _write(tmp_path, _base_doc())
     code = cli.main(["sweep", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_sweep_document_without_axes_runs_other_modes(tmp_path):
+    # the subcommand, not the document's mode, decides whether axes are needed
+    doc = _shipped("lorentzian-desk.json")
+    doc["mode"] = "sweep"
+    doc.pop("sweep", None)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", _write(tmp_path, doc),
+                     "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").exists()

@@ -18,6 +18,7 @@ from nmk_sim.dynamics import (
     measure_moments,
     moment_bound,
     regularization_error_bound,
+    regularization_term,
     trace_distance,
     truncation_certificate,
 )
@@ -404,8 +405,12 @@ def test_assemble_error_budget(lorentzian_kernel, lorentzian_coupling):
     model = _qubit_model(hs=0.5 * SIGMA_Z, jump=SIGMA_X)
     coeffs = star_to_chain(lorentzian_coupling, 3.0, 6)
     space = enumerate_basis(1, 2, 1, 6, 2)
-    budget = assemble_error_budget(model, [lorentzian_kernel],
-                                   [lorentzian_coupling], [coeffs], space, 0.5)
+    reg = regularization_term(model, [lorentzian_kernel],
+                              lorentzian_coupling.epsilon, 0.5,
+                              StateConstants.vacuum(1))
+    budget = assemble_error_budget(model, [lorentzian_coupling], [coeffs],
+                                   space, 0.5, reg)
+    assert budget.regularization == reg > 0.0
     for name in ("regularization", "cutoff", "chain", "truncation",
                  "initialization"):
         assert getattr(budget, name) >= 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -365,6 +366,14 @@ def test_regularize_modulus_invariant(lorentzian_kernel):
 def test_regularize_tail_guard(lorentzian_kernel):
     with pytest.raises(TailNotNegligible):
         ker.regularize(lorentzian_kernel, ker.Mollifier(0.05), (50.0, 1025))
+
+
+def test_coupling_compares_by_identity(lorentzian_coupling):
+    copy = dataclasses.replace(lorentzian_coupling,
+                               grid=lorentzian_coupling.grid.copy(),
+                               values=lorentzian_coupling.values.copy())
+    assert copy != lorentzian_coupling
+    assert lorentzian_coupling == lorentzian_coupling
 
 
 def test_phase_drops_out_of_weight(lorentzian_kernel):
