@@ -31,7 +31,7 @@ from . import fock
 from . import kernels as ker
 from . import oracle as orc
 from .errors import (DimensionOverflow, NmkSimError, SchemaViolation,
-                     UnsupportedInitialState)
+                     StepControlFailure, UnsupportedInitialState)
 
 log = logging.getLogger("nmk_sim")
 
@@ -153,10 +153,21 @@ class ExperimentConfig:
         if "amplitudes" in init:
             re = np.asarray(init["amplitudes"]["re"], dtype=float)
             im = np.asarray(init["amplitudes"].get("im", np.zeros_like(re)))
+            if re.shape != (d**n,) or im.shape != (d**n,):
+                raise SchemaViolation(
+                    f"at system/initial: amplitudes need {d**n} entries")
             sys_initial = re + 1j * im
+            if not 0.0 < np.linalg.norm(sys_initial) < math.inf:
+                raise SchemaViolation(
+                    "at system/initial: amplitudes need a nonzero finite norm")
         else:
+            index = init.get("basis_state", 0)
+            if index >= d**n:
+                raise SchemaViolation(
+                    f"at system/initial: basis_state {index} is outside "
+                    f"the {d**n} system states")
             sys_initial = np.zeros(d**n, dtype=complex)
-            sys_initial[init.get("basis_state", 0)] = 1.0
+            sys_initial[index] = 1.0
 
         return cls(
             mode=doc["mode"], model=model, kernels=tuple(kernels),
@@ -250,7 +261,7 @@ def _star_env_states(cfg, stars):
         kind = doc["type"]
         if kind == "vacuum":
             states.append(fock.InitialEnvState())
-        elif kind == "single_photon":
+        else:   # single photon; `_run_point` refuses coherent states
             wp = doc["wavepacket"]
             dw = star.omegas[1] - star.omegas[0]
             xi = np.exp(-((star.omegas - wp["center"]) ** 2)
@@ -258,9 +269,6 @@ def _star_env_states(cfg, stars):
             amps = xi * math.sqrt(dw)
             amps = amps / np.linalg.norm(amps)
             states.append(fock.InitialEnvState("single_photon", amps))
-        else:
-            raise UnsupportedInitialState(
-                "star oracle supports vacuum and single-photon states")
     return states
 
 
@@ -374,9 +382,16 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", regularized=None):
                       _chain_json(chains))
         return {}
 
-    # every size check of this point runs before any chain work
+    # every size check of this point, and the star oracle's refusals, run
+    # before any chain work
     space = _space(cfg, cfg.modes, cfg.particle_cap)
     if cfg.mode == "compare-oracle":
+        if any(doc["type"] == "coherent" for doc in cfg.env_docs):
+            raise UnsupportedInitialState(
+                "star oracle supports vacuum and single-photon states")
+        if cfg.model.time_dependent:
+            raise StepControlFailure(
+                "star oracle supports constant system profiles only")
         star_space = _space(cfg, cfg.star_modes, cfg.particle_cap)
     if cfg.mode == "certify":
         cap_space = _space(cfg, cfg.modes, cfg.particle_cap + 2)
@@ -417,7 +432,7 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", regularized=None):
     # certify (also the per-point payload of sweep)
     budget = dyn.assemble_error_budget(
         cfg.model, couplings, chains, space, cfg.t_final, reg_term,
-        mu1_0=sum(st.moments()[0] for st in env), initialization=lost)
+        initial_moments=[st.moments() for st in env], initialization=lost)
     _atomic_write(os.path.join(out_dir, f"budget{suffix}.json"),
                   json.dumps(budget.to_json_dict(), indent=2, sort_keys=True) + "\n")
     gaps = _measured_gaps(cfg, couplings, space, chains, env, traj, cap_space,

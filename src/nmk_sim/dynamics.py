@@ -21,6 +21,7 @@ from .fock import (
     SystemModel,
     TruncatedSpace,
     build_hamiltonian_parts,
+    embed_system_operator,
 )
 from .kernels import error_functions, eval_spectral_density, total_variation
 
@@ -66,6 +67,9 @@ KRYLOV_COST_RATIO = 150.0
 # 2.4 ms, at dim 90 3.0 ms against 1.9 ms and at dim 702 710 ms against
 # 2.7 ms (one BLAS thread, 2-vCPU x86 KVM guest).
 DENSE_EXPM_DIM = 80
+# Points of the [0, t] grid on which the truncation and regularization bounds
+# integrate their a-priori curves.
+BOUND_GRID = 257
 
 # Fourth-order commutator-free scheme (Alvermann & Fehske, JCP 230, 5930
 # (2011)): Gauss nodes c1, c2 and the weights of H(t + c dt) in its two
@@ -98,6 +102,10 @@ class Trajectory:
     oracle: bool = False
 
     def validate(self, tol: float = 1e-8):
+        # every check below reads `x > tol`, which NaN passes
+        if not all(np.isfinite(a).all()
+                   for a in (self.rho_s, self.mu1, self.mu2, self.norms)):
+            raise StepControlFailure("trajectory holds non-finite values")
         drift = self.norm_drift
         if drift > tol:
             raise StepControlFailure(f"norm drift {drift:.2e} exceeds {tol:.0e}")
@@ -299,10 +307,12 @@ def apriori_mu1(g: float, t, mu1_0: float = 0.0):
 
 
 def apriori_mu2(g: float, t, mu1_0: float = 0.0, mu2_0: float = 0.0):
-    """Bound on mu2(t) from the integrated second-moment ODE.
+    """Integrated moment ODE bound on mu2(t).
 
-    Uses sqrt(mu2) - sqrt(sqrt(mu2)/2)... relaxed via log(1+x) <= sqrt(x):
-    with u = mu2(t)^(1/4), u^2 - u / sqrt(2) <= R(t), solved exactly.
+    With u = mu2(t)^(1/4), the second-moment ODE integrates (after relaxing
+    log(1 + x) <= sqrt(x)) to u^2 - u / sqrt(2) <= R(t), where
+    R(t) = sqrt(mu2(0)) + 2 g (sqrt(mu1(0)) t + g t^2 / 2).  The bound is the
+    fourth power of the larger root of u^2 - u / sqrt(2) = R(t).
     """
     t = np.asarray(t, dtype=float)
     r = math.sqrt(mu2_0) + 2.0 * g * (math.sqrt(mu1_0) * t + 0.5 * g * t**2)
@@ -311,36 +321,23 @@ def apriori_mu2(g: float, t, mu1_0: float = 0.0, mu2_0: float = 0.0):
 
 
 def truncation_certificate(p: int, t: float, couplings_strength,
-                           moments: str = "apriori",
-                           trajectory: Trajectory | None = None,
-                           mu1_0=None, mu2_0=None, n_grid: int = 257) -> float:
+                           mu1_0=None, mu2_0=None) -> float:
     """Certified bound on || psi(t) - U_P(t,0) P psi0 || for per-bath cap p.
 
     cert = sqrt(sum_a mu1_a(t) / p)
          + int_0^t sum_a g_a sqrt(mu2_a(s) sum_b mu1_b(s) / p) ds
 
-    with g_a = ||v_a|| ||L_a||.  Moment curves come either from the a-priori
-    ODE bounds (default) or from a measured trajectory.
+    with g_a = ||v_a|| ||L_a|| and the a-priori moment curves `apriori_mu1`
+    and `apriori_mu2` from the per-bath initial moments (vacuum by default).
     """
     g = np.asarray(couplings_strength, dtype=float)
     m = g.size
-    if moments == "measured":
-        if trajectory is None:
-            raise ValueError("measured moments need a trajectory")
-        ts = trajectory.times
-        sel = ts <= t + 1e-12
-        ts = ts[sel]
-        mu1 = trajectory.mu1[sel]
-        mu2 = trajectory.mu2[sel]
-    elif moments == "apriori":
-        ts = np.linspace(0.0, t, n_grid)
-        mu1_0 = np.zeros(m) if mu1_0 is None else np.asarray(mu1_0, float)
-        mu2_0 = np.zeros(m) if mu2_0 is None else np.asarray(mu2_0, float)
-        mu1 = np.stack([apriori_mu1(g[a], ts, mu1_0[a]) for a in range(m)], axis=1)
-        mu2 = np.stack([apriori_mu2(g[a], ts, mu1_0[a], mu2_0[a]) for a in range(m)],
-                       axis=1)
-    else:
-        raise ValueError("moments must be 'apriori' or 'measured'")
+    ts = np.linspace(0.0, t, BOUND_GRID)
+    mu1_0 = np.zeros(m) if mu1_0 is None else np.asarray(mu1_0, float)
+    mu2_0 = np.zeros(m) if mu2_0 is None else np.asarray(mu2_0, float)
+    mu1 = np.stack([apriori_mu1(g[a], ts, mu1_0[a]) for a in range(m)], axis=1)
+    mu2 = np.stack([apriori_mu2(g[a], ts, mu1_0[a], mu2_0[a]) for a in range(m)],
+                   axis=1)
 
     mu1_tot = mu1.sum(axis=1)
     leak = math.sqrt(mu1_tot[-1] / p)
@@ -415,18 +412,17 @@ class StateConstants:
         return cls(np.zeros(baths), np.zeros(baths))
 
     @classmethod
-    def from_photon_counts(cls, kernels, n1_k1, n1_k2, k: int = 0,
-                           omega_span: float = 400.0):
-        """Constants for states with known N_{1,k+1}, N_{1,k+2} bounds.
+    def from_photon_counts(cls, kernels, n1_1, n1_2):
+        """Constants for states with known N_{1,1}, N_{1,2} bounds.
 
-        c_mu = sqrt(N_{1,k+1}) ||(1+w^2)^-(k+1) mu_hat||_1^(1/2) and the same
-        integral enters c_reg with N_{1,k+2}.
+        c_mu = sqrt(N_{1,1}) ||(1+w^2)^-1 mu_hat||_1^(1/2) and the same
+        integral enters c_reg with N_{1,2}.
         """
         c_mu, c_reg = [], []
-        w = np.linspace(-omega_span, omega_span, 200001)
-        for kernel, n1, n2 in zip(kernels, n1_k1, n1_k2):
+        w = np.linspace(-400.0, 400.0, 200001)
+        for kernel, n1, n2 in zip(kernels, n1_1, n1_2):
             mu = np.asarray(eval_spectral_density(kernel, w))
-            integral = float(np.trapezoid(mu / (1.0 + w**2) ** (k + 1), w))
+            integral = float(np.trapezoid(mu / (1.0 + w**2), w))
             c_mu.append(math.sqrt(n1 * integral))
             c_reg.append(math.sqrt(n2 * integral))
         return cls(np.array(c_mu), np.array(c_reg))
@@ -434,8 +430,7 @@ class StateConstants:
 
 def regularization_error_bound(jump_norms, kernels, eps: float, t: float,
                                state_constants: StateConstants,
-                               hs_commutator_sups=None,
-                               n_grid: int = 257) -> float:
+                               hs_commutator_sups=None) -> float:
     """Squared-norm bound on the mollifier-regularization error at time t.
 
     Assembles int_0^t (E_a(tau) + D_a(tau)) dtau where E is the smaller of
@@ -454,7 +449,7 @@ def regularization_error_bound(jump_norms, kernels, eps: float, t: float,
         raise UnsupportedInitialState("state constants must match bath count")
     if hs_commutator_sups is None:
         hs_commutator_sups = np.zeros(m)
-    taus = np.linspace(0.0, t, n_grid)
+    taus = np.linspace(0.0, t, BOUND_GRID)
 
     tv = np.array([[total_variation(kern, (-1.0, tau + 1.0)) for kern in kernels]
                    for tau in taus])
@@ -513,15 +508,15 @@ class ErrorBudget:
         return doc
 
 
-def hs_commutator_sup(model: SystemModel, bath: int, t: float,
-                      n_samples: int = 64) -> float:
-    """sup_s ||[H_S(s), L_bath]|| over [0, t], sampled."""
+def hs_commutator_sup(model: SystemModel, bath: int) -> float:
+    """A-priori bound on sup_s ||[H_S(s), L_bath]||: the sum over system
+    terms of ||[H_i, L_bath]||, since every profile is at most 1 in size."""
     l_mat = model.jump_matrix(bath)
-    worst = 0.0
-    for s in np.linspace(0.0, t, n_samples):
-        hs = model.hs_matrix(s)
-        worst = max(worst, float(np.linalg.norm(hs @ l_mat - l_mat @ hs, 2)))
-    return worst
+    total = 0.0
+    for support, mat, _ in model.hs_terms:
+        h = embed_system_operator(model.n, model.d, support, mat)
+        total += float(np.linalg.norm(h @ l_mat - l_mat @ h, 2))
+    return total
 
 
 def regularization_term(model: SystemModel, kernels, eps: float, t: float,
@@ -529,7 +524,7 @@ def regularization_term(model: SystemModel, kernels, eps: float, t: float,
     """Regularization budget term: the square root of
     `regularization_error_bound`, independent of cutoff, modes and cap."""
     jump_norms = [model.jump_norm(a) for a in range(len(kernels))]
-    comms = [hs_commutator_sup(model, a, t) for a in range(len(kernels))]
+    comms = [hs_commutator_sup(model, a) for a in range(len(kernels))]
     return math.sqrt(regularization_error_bound(
         jump_norms, kernels, eps, t, state_constants,
         hs_commutator_sups=comms))
@@ -537,18 +532,24 @@ def regularization_term(model: SystemModel, kernels, eps: float, t: float,
 
 def assemble_error_budget(model: SystemModel, couplings, chains,
                           space: TruncatedSpace, t: float,
-                          regularization: float, mu1_0: float = 0.0,
+                          regularization: float, initial_moments=None,
                           initialization: float = 0.0) -> ErrorBudget:
     """Evaluate the cutoff, chain and truncation bounds at the configured
     parameters; the regularization and initialization terms come as values
-    (see `regularization_term`)."""
+    (see `regularization_term`).  `initial_moments` holds one (mu1, mu2) per
+    bath (vacuum by default): the truncation bound takes them per bath, the
+    cutoff and chain bounds their summed mu1."""
     m = space.baths
     jump_norms = [model.jump_norm(a) for a in range(m)]
+    moments = (np.zeros((m, 2)) if initial_moments is None
+               else np.asarray(initial_moments, dtype=float))
+    mu1_0, mu2_0 = moments.T
+    mu1_sum = float(mu1_0.sum())
     omega_c = chains[0].omega_c
-    cut = cutoff_error_bound(jump_norms, couplings, omega_c, t, mu1_0)
-    chn = chain_error_bound(jump_norms, chains, t, mu1_0)
+    cut = cutoff_error_bound(jump_norms, couplings, omega_c, t, mu1_sum)
+    chn = chain_error_bound(jump_norms, chains, t, mu1_sum)
     strengths = [jump_norms[a] * chains[a].v_norm for a in range(m)]
-    trunc = truncation_certificate(space.cap, t, strengths, mu1_0=[mu1_0] * m)
+    trunc = truncation_certificate(space.cap, t, strengths, mu1_0, mu2_0)
     params = {"epsilon": couplings[0].epsilon, "omega_c": omega_c,
               "modes": space.modes, "particle_cap": space.cap, "t": t}
     return ErrorBudget(regularization, cut, chn, trunc, initialization,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nmk_sim import cli
+from nmk_sim import dynamics as dyn
 from nmk_sim.errors import SchemaViolation
 
 
@@ -83,6 +84,23 @@ def test_bath_index_out_of_range(tmp_path):
     doc["system"]["jumps"][0]["bath"] = 3
     with pytest.raises(SchemaViolation):
         cli.ExperimentConfig.from_document(doc)
+
+
+@pytest.mark.parametrize("initial", [
+    {"basis_state": 5},
+    {"amplitudes": {"re": [1.0]}},
+    {"amplitudes": {"re": [0.0, 0.0], "im": [0.0, 0.0]}},
+], ids=["basis-state-range", "amplitudes-length", "amplitudes-zero"])
+def test_bad_system_initial_state_is_exit_two(tmp_path, capsys, initial):
+    doc = _base_doc()
+    doc["system"]["initial"] = initial
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    code = cli.main(["simulate", "--config", path, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "at system/initial" in err and "Traceback" not in err
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_malformed_json_is_exit_two(tmp_path, capsys):
@@ -332,6 +350,32 @@ def test_certify_single_photon_gaps_below_certificates(tmp_path):
     assert measured["initialization"] > 0.0
 
 
+def test_certify_truncation_uses_each_baths_moments(tmp_path):
+    # a single photon enters the truncation certificate as its own
+    # (mu1, mu2) = (1, 1), so the a-priori moment curves the certificate
+    # integrates lie above the simulated moments at every output time
+    doc = _base_doc(mode="certify", t_final=0.5, particle_cap=2)
+    doc["baths"][0]["initial"] = {
+        "type": "single_photon",
+        "wavepacket": {"center": 0.0, "width": 0.5},
+    }
+    path = _write(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--config", path, "--out", str(out)]) == 0
+    g = json.loads((out / "chain.json").read_text())[0]["v_norm"]  # ||L|| = 1
+    budget = json.loads((out / "budget.json").read_text())
+    assert budget["truncation"] == pytest.approx(
+        dyn.truncation_certificate(2, 0.5, [g], mu1_0=[1.0], mu2_0=[1.0]),
+        rel=1e-12)
+    rows = (out / "trajectory.csv").read_text().strip().split("\n")
+    idx = {h: i for i, h in enumerate(rows[0].split(","))}
+    for row in rows[1:]:
+        vals = [float(x) for x in row.split(",")]
+        t = vals[idx["t"]]
+        assert vals[idx["mu1_0"]] <= dyn.apriori_mu1(g, t, 1.0) + 1e-12
+        assert vals[idx["mu2_0"]] <= dyn.apriori_mu2(g, t, 1.0, 1.0) + 1e-12
+
+
 def test_certify_coherent_state_unsupported(tmp_path, capsys):
     doc = _base_doc(mode="certify", t_final=0.25, particle_cap=3)
     doc["baths"][0]["initial"] = {
@@ -361,6 +405,26 @@ def test_compare_oracle_report(tmp_path):
     assert all(d < 5e-3 for d in dists)
     oracle_rows = (out / "oracle-trajectory.csv").read_text().strip().split("\n")
     assert oracle_rows[1].split(",")[-1] == "1"  # oracle flag column
+
+
+@pytest.mark.parametrize("case", ["coherent", "driven"])
+def test_compare_oracle_refuses_before_any_work(tmp_path, capsys, case):
+    doc = _shipped("lorentzian-desk.json")
+    if case == "coherent":
+        doc["baths"][0]["initial"] = {
+            "type": "coherent",
+            "displacements": {"re": [0.2] + [0.0] * 7},
+        }
+    else:
+        doc["system"]["hamiltonian"][0]["profile"] = {"type": "cos",
+                                                      "frequency": 2.0}
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    code = cli.main(["compare-oracle", "--config", path, "--out", str(out)])
+    assert code == 3
+    assert "star oracle supports" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "chain.json").exists()
 
 
 def test_compare_oracle_shares_output_times(tmp_path):

@@ -179,6 +179,18 @@ def test_validate_bad_reduced_state_is_step_control_failure(rho):
         traj.validate()
 
 
+@pytest.mark.parametrize("field", ["rho_s", "norms"])
+def test_validate_rejects_nan(field):
+    # NaN compares false against every tolerance, so each check must reject
+    # a non-finite value explicitly
+    traj = dyn.Trajectory(np.array([0.0]),
+                          np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex),
+                          np.zeros((1, 1)), np.zeros((1, 1)), np.ones(1))
+    getattr(traj, field).flat[0] = np.nan
+    with pytest.raises(StepControlFailure):
+        traj.validate()
+
+
 def test_trajectory_state_sanity():
     model = _qubit_model(hs=0.5 * SIGMA_Z, jump=SIGMA_X)
     coeffs = ChainCoefficients(np.array([0.2, 0.1]), np.array([0.3]),
@@ -249,19 +261,6 @@ def test_certificate_quarter_cap_halves():
     c1 = truncation_certificate(1, 2.0, [0.5])
     c4 = truncation_certificate(4, 2.0, [0.5])
     assert c4 / c1 == pytest.approx(0.5, abs=1e-10)
-
-
-def test_certificate_measured_moments(flat_coupling):
-    coeffs = star_to_chain(flat_coupling, 1.0, 4)
-    model = _qubit_model(jump=SIGMA_X)
-    space = enumerate_basis(1, 2, 1, 4, 2)
-    psi0 = _vacuum_start(space)
-    traj = evolve(model, [coeffs], space, psi0, 1.0, StepControl(out_step=0.1))
-    g = coeffs.v_norm
-    measured = truncation_certificate(2, 1.0, [g], moments="measured",
-                                      trajectory=traj)
-    apriori = truncation_certificate(2, 1.0, [g])
-    assert 0.0 <= measured <= apriori + 1e-12
 
 
 def test_certificate_dominates_cap_refinement(flat_coupling):
@@ -390,6 +389,18 @@ def test_state_constants_photon_counts(lorentzian_kernel):
     assert sc.c_mu[0] > 0 and sc.c_reg[0] > 0
     # integral of mu_hat / (1 + w^2) for the unit lorentzian is pi/2
     assert sc.c_mu[0] == pytest.approx(math.sqrt(1.5 * math.pi / 2.0), rel=1e-3)
+
+
+def test_hs_commutator_sup_bounds_driven_term():
+    # H_S(s) = sin(3 pi s) sigma_x, L = sigma_z: sup_s ||[H_S(s), L]|| = 2,
+    # reached at s = 1/6, 1/2 and 5/6, between the points of a coarse grid
+    profile = TimeProfile("sin", 3.0 * math.pi)
+    model = _qubit_model(hs=SIGMA_X, jump=SIGMA_Z, profile=profile)
+    grid = np.linspace(0.0, 1.0, 100_001)
+    comm = SIGMA_X @ SIGMA_Z - SIGMA_Z @ SIGMA_X
+    sampled = float(np.max(np.abs(np.sin(3.0 * math.pi * grid))))
+    sampled *= float(np.linalg.norm(comm, 2))
+    assert dyn.hs_commutator_sup(model, 0) >= sampled
 
 
 # -- assembled budget ---------------------------------------------------------------
