@@ -21,7 +21,6 @@ from .dynamics import (
     cutoff_error_bound,
     evolve,
     measure_moments,
-    moment_bound,
     regularization_error_bound,
     regularization_term,
     trace_distance,
@@ -29,13 +28,9 @@ from .dynamics import (
 )
 from .fock import (
     InitialEnvState,
-    SparseOperator,
     SystemModel,
     TruncatedSpace,
-    build_hamiltonian,
     enumerate_basis,
-    ladder,
-    project_particle_sector,
 )
 from .kernels import (
     MemoryKernel,
@@ -56,12 +51,10 @@ __all__ = [
     "chain_propagate_single", "gauss_quadrature", "star_to_chain",
     "ErrorBudget", "StateConstants", "StepControl", "Trajectory",
     "assemble_error_budget", "chain_error_bound", "cutoff_error_bound",
-    "evolve", "measure_moments", "moment_bound",
+    "evolve", "measure_moments",
     "regularization_error_bound", "regularization_term", "trace_distance",
     "truncation_certificate",
-    "InitialEnvState", "SparseOperator", "SystemModel", "TruncatedSpace",
-    "build_hamiltonian", "enumerate_basis", "ladder",
-    "project_particle_sector",
+    "InitialEnvState", "SystemModel", "TruncatedSpace", "enumerate_basis",
     "MemoryKernel", "Mollifier", "RegularizedCoupling", "apply_mu_star",
     "choose_grid", "error_functions", "eval_spectral_density", "mollifier_fourier",
     "regularize", "total_variation",

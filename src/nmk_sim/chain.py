@@ -196,15 +196,19 @@ def star_to_chain(coupling: RegularizedCoupling, omega_c: float,
                              measure=measure)
 
 
-def chain_propagate_single(coeffs: ChainCoefficients, c0, t: float):
-    """Propagate single-particle chain amplitudes: c(t) = exp(-i A t) c0."""
+def chain_propagate_single(coeffs: ChainCoefficients, c0, t):
+    """Propagate single-particle chain amplitudes: c(t) = exp(-i A t) c0.
+
+    `t` may be one time or an array of times (amplitudes on a last axis)."""
     c0 = np.asarray(c0, dtype=complex)
     if c0.shape != (coeffs.modes,):
         raise ShapeMismatch("amplitude vector length must equal `modes`")
     if coeffs.modes == 1:
-        return np.exp(-1j * coeffs.onsite[0] * t) * c0
-    vals, vecs = eigh_tridiagonal(coeffs.onsite, coeffs.hopping)
-    return vecs @ (np.exp(-1j * vals * t) * (vecs.T @ c0))
+        vals, vecs = coeffs.onsite, np.ones((1, 1))
+    else:
+        vals, vecs = eigh_tridiagonal(coeffs.onsite, coeffs.hopping)
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), vals))
+    return (phases * (vecs.T @ c0)) @ vecs.T
 
 
 def orthonormal_polynomials(coeffs: ChainCoefficients, mass: float, lam):
@@ -256,14 +260,9 @@ def chain_error_single(coeffs: ChainCoefficients, t):
     bound = np.array([chain_error_bound_value(mass, coeffs.omega_c,
                                               coeffs.modes, float(s))
                       for s in ts])
-    if coeffs.modes == 1:
-        vals = np.array([coeffs.onsite[0]])
-        vecs = np.array([[1.0]])
-    else:
-        vals, vecs = eigh_tridiagonal(coeffs.onsite, coeffs.hopping)
     # row k holds c(t_k) = ||v|| exp(-i A t_k) e_1
-    c_t = coeffs.v_norm * ((np.exp(-1j * np.outer(ts, vals)) * vecs[0, :])
-                           @ vecs.T)
+    c_t = coeffs.v_norm * chain_propagate_single(
+        coeffs, np.eye(coeffs.modes)[0], ts)
     q = orthonormal_polynomials(coeffs, mass, lam)
     residual = c_t @ q - np.exp(-1j * np.outer(ts, lam))
     actual = 0.5 * (np.abs(residual) ** 2 @ wts)

@@ -76,10 +76,6 @@ def _kernel_from_doc(doc) -> ker.MemoryKernel:
         atoms = [(a.get("weight_re", 1.0) + 1j * a.get("weight_im", 0.0),
                   a["location"]) for a in doc.get("atoms", [])]
         return ker.MemoryKernel.delta_train(atoms, phase)
-    if kind == "complex_gaussian_sum":
-        terms = [(g.get("coefficient_re", 1.0) + 1j * g.get("coefficient_im", 0.0),
-                  g["chirp"]) for g in doc.get("gaussians", [])]
-        return ker.MemoryKernel.complex_gaussian_sum(terms, phase)
     grid = doc["grid"]
     omegas = np.linspace(grid["start"], grid["stop"], len(grid["values"]))
     return ker.MemoryKernel.tabulated(omegas, grid["values"], phase)
@@ -263,12 +259,10 @@ def _star_env_states(cfg, stars):
             states.append(fock.InitialEnvState())
         else:   # single photon; `_run_point` refuses coherent states
             wp = doc["wavepacket"]
-            dw = star.omegas[1] - star.omegas[0]
             xi = np.exp(-((star.omegas - wp["center"]) ** 2)
                         / (2.0 * wp["width"] ** 2)).astype(complex)
-            amps = xi * math.sqrt(dw)
-            amps = amps / np.linalg.norm(amps)
-            states.append(fock.InitialEnvState("single_photon", amps))
+            states.append(fock.InitialEnvState("single_photon",
+                                               xi / np.linalg.norm(xi)))
     return states
 
 
@@ -551,6 +545,14 @@ def main(argv=None) -> int:
         cfg = replace(cfg, mode=args.command)
         if cfg.mode == "sweep" and not cfg.sweep_axes:
             raise SchemaViolation("at sweep: sweep mode needs non-empty axes")
+        if cfg.mode in ("certify", "sweep"):
+            # the truncation certificate divides by the cap of every point
+            axes = cfg.sweep_axes if cfg.mode == "sweep" else {}
+            cap = min(axes.get("particle_cap", [cfg.particle_cap]))
+            if cap < 1:
+                raise SchemaViolation(
+                    f"at particle_cap: {cfg.mode} needs a cap of at least 1, "
+                    f"got {cap}")
         return run(cfg, args.out, jobs=args.jobs)
     except SchemaViolation as exc:
         print(f"config error: {exc}", file=sys.stderr)

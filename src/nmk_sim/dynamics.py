@@ -16,14 +16,25 @@ from scipy.linalg import eigh, expm
 from scipy.sparse.linalg import expm_multiply
 
 from .chain import chain_error_bound_value, chain_error_single
-from .errors import EpsilonTooLarge, StepControlFailure, UnsupportedInitialState
+from .errors import (
+    EpsilonTooLarge,
+    NonPositiveDensity,
+    StepControlFailure,
+    UnsupportedInitialState,
+)
 from .fock import (
     SystemModel,
     TruncatedSpace,
     build_hamiltonian_parts,
     embed_system_operator,
 )
-from .kernels import error_functions, eval_spectral_density, total_variation
+from .kernels import (
+    DELTA_TRAIN,
+    LORENTZIAN_SUM,
+    TABULATED,
+    error_functions,
+    total_variation,
+)
 
 # A constant Hamiltonian is propagated by one dense `eigh`, at about
 # 1e-9 dim^3 s whatever the time span, or by Krylov `expm_multiply` (Al-Mohy &
@@ -280,26 +291,6 @@ def trace_distance(rho, sigma) -> float:
 
 # -- particle-number moments and certificates --------------------------------
 
-def moment_bound(ell: float, t: float, initial_moments, k_max: int,
-                 norm_sq: float = 1.0):
-    """A-priori bounds M^(k)(t) on the occupation moments, k = 0..k_max.
-
-    Recursion: M^(0) = ||Phi||^2 and
-    M^(k) = 2 mu^(k)(0) + 2^(2k-3) ell^2 t^2 (||Phi||^2 + M^(k-1))^2.
-    """
-    if ell < 0 or t < 0:
-        raise ValueError("ell and t must be nonnegative")
-    mu0 = list(initial_moments)
-    if len(mu0) < k_max:
-        raise ValueError("need initial moments up to k_max")
-    out = [norm_sq]
-    for k in range(1, k_max + 1):
-        prev = out[-1]
-        out.append(2.0 * mu0[k - 1]
-                   + 2.0 ** (2 * k - 3) * ell**2 * t**2 * (norm_sq + prev) ** 2)
-    return out
-
-
 def apriori_mu1(g: float, t, mu1_0: float = 0.0):
     """Integrated moment ODE bound mu1(t) <= (sqrt(mu1(0)) + g t)^2."""
     t = np.asarray(t, dtype=float)
@@ -329,7 +320,10 @@ def truncation_certificate(p: int, t: float, couplings_strength,
 
     with g_a = ||v_a|| ||L_a|| and the a-priori moment curves `apriori_mu1`
     and `apriori_mu2` from the per-bath initial moments (vacuum by default).
+    The cap must be at least 1.
     """
+    if p < 1:
+        raise ValueError(f"particle cap {p} leaves no quanta to certify")
     g = np.asarray(couplings_strength, dtype=float)
     m = g.size
     ts = np.linspace(0.0, t, BOUND_GRID)
@@ -395,6 +389,31 @@ def chain_error_bound(jump_norms, chains, t: float,
     return prefactor * total
 
 
+def _weighted_density_integral(kernel) -> float:
+    """Exact int mu_hat(w) / (1 + w^2) dw over the real line.
+
+    Lorentzian terms alpha / ((w - w0)^2 + gamma^2) give
+    alpha pi (gamma + 1) / (gamma (w0^2 + (gamma + 1)^2)); a delta atom
+    a exp(-i w x) gives pi Re(a) exp(-|x|); a tabulated density, linear
+    m + s (w - w_k) on each grid segment and zero outside, gives
+    (m - s w_k) (atan w_{k+1} - atan w_k)
+    + (s / 2) (log1p(w_{k+1}^2) - log1p(w_k^2)) per segment.
+    """
+    if kernel.kind == LORENTZIAN_SUM:
+        return sum(a * math.pi * (g + 1.0) / (g * (w0**2 + (g + 1.0) ** 2))
+                   for a, w0, g in kernel.lorentzians)
+    if kernel.kind == DELTA_TRAIN:
+        return math.pi * sum(w.real * math.exp(-abs(x))
+                             for w, x in kernel.atoms)
+    if kernel.kind == TABULATED:
+        w, m = kernel.tab_omega, kernel.tab_values
+        s = np.diff(m) / np.diff(w)
+        return float(np.sum((m[:-1] - s * w[:-1]) * np.diff(np.arctan(w))
+                            + 0.5 * s * np.diff(np.log1p(w**2))))
+    raise NonPositiveDensity(
+        "complex-gaussian kernels do not define a nonnegative spectral density")
+
+
 @dataclass(frozen=True)
 class StateConstants:
     """Initial-state regularity constants entering the regularization bound.
@@ -416,13 +435,12 @@ class StateConstants:
         """Constants for states with known N_{1,1}, N_{1,2} bounds.
 
         c_mu = sqrt(N_{1,1}) ||(1+w^2)^-1 mu_hat||_1^(1/2) and the same
-        integral enters c_reg with N_{1,2}.
+        integral enters c_reg with N_{1,2}; the integral is taken in closed
+        form (`_weighted_density_integral`).
         """
         c_mu, c_reg = [], []
-        w = np.linspace(-400.0, 400.0, 200001)
         for kernel, n1, n2 in zip(kernels, n1_1, n1_2):
-            mu = np.asarray(eval_spectral_density(kernel, w))
-            integral = float(np.trapezoid(mu / (1.0 + w**2), w))
+            integral = _weighted_density_integral(kernel)
             c_mu.append(math.sqrt(n1 * integral))
             c_reg.append(math.sqrt(n2 * integral))
         return cls(np.array(c_mu), np.array(c_reg))
@@ -494,7 +512,7 @@ class ErrorBudget:
 
     def __post_init__(self):
         for name in self.TERMS:
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:    # NaN fails too
                 raise ValueError(f"budget term {name} must be nonnegative")
 
     @property

@@ -1,4 +1,4 @@
-"""Truncated system (x) chain Fock space and sparse operator construction.
+"""Truncated system (x) chain Fock space and sparse Hamiltonian construction.
 
 Basis ordering: a state index decomposes as mixed radix
 ``(system digits, bath_1 occupation, ..., bath_M occupation)`` with the
@@ -16,7 +16,6 @@ with L the bath's jump operator.  A chain (`ChainCoefficients`) is
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -81,7 +80,6 @@ class SystemModel:
     d: int
     hs_terms: tuple = ()     # (support tuple, matrix, TimeProfile)
     jumps: tuple = ()        # (support tuple, matrix, bath index)
-    klocal_strict: bool = False
 
     def __post_init__(self):
         terms = []
@@ -90,8 +88,6 @@ class SystemModel:
             self._check_local(support, mat)
             if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
                 raise ValueError("system Hamiltonian terms must be Hermitian")
-            if self.klocal_strict and np.linalg.norm(mat, 2) > 1.0 + HERMITIAN_TOL:
-                raise ValueError("k-local flag requires ||H_i|| <= 1")
             if not isinstance(profile, TimeProfile):
                 profile = TimeProfile(*profile) if profile else TimeProfile()
             terms.append((tuple(support), mat, profile))
@@ -100,8 +96,6 @@ class SystemModel:
         for support, mat, bath in self.jumps:
             mat = np.asarray(mat, dtype=complex)
             self._check_local(support, mat)
-            if self.klocal_strict and np.linalg.norm(mat, 2) > 1.0 + HERMITIAN_TOL:
-                raise ValueError("k-local flag requires ||L_alpha|| <= 1")
             jumps.append((tuple(support), mat, int(bath)))
         object.__setattr__(self, "jumps", tuple(jumps))
 
@@ -282,37 +276,6 @@ def enumerate_basis(n: int, d: int, baths: int, modes: int, cap: int) -> Truncat
     return TruncatedSpace(n, d, baths, modes, cap)
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """Sparse matrix on a truncated space with a Hermiticity tag."""
-
-    dimension: int
-    matrix: sp.csr_matrix = field(repr=False)
-    hermitian: bool = False
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.dimension, self.dimension):
-            raise ShapeMismatch("matrix shape inconsistent with dimension")
-        if self.hermitian:
-            probe = (self.matrix - self.matrix.conj().T).tocoo()
-            if probe.nnz and np.max(np.abs(probe.data)) > HERMITIAN_TOL * max(
-                1.0, abs(self.matrix).max()
-            ):
-                raise ValueError("operator tagged hermitian is not Hermitian")
-
-    def to_coordinate_text(self) -> str:
-        """Documented debug dump: `row col re im` per line, 17 digits."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        buf = io.StringIO()
-        buf.write(f"# dimension {self.dimension} nnz {coo.nnz} "
-                  f"hermitian {int(self.hermitian)}\n")
-        for k in order:
-            buf.write(f"{coo.row[k]} {coo.col[k]} "
-                      f"{coo.data[k].real:.17g} {coo.data[k].imag:.17g}\n")
-        return buf.getvalue()
-
-
 def _lift(space: TruncatedSpace, bath: int, block, system) -> sp.csr_matrix:
     """`system` (x) `block` on one bath, the identity on the other baths."""
     def eye(size):
@@ -339,26 +302,6 @@ def _moves(space: TruncatedSpace, to_next: bool = False):
     if to_next:
         occ[np.arange(row.size), mode + 1] += 1
     return row, mode, _rank(occ, space.cap)
-
-
-def ladder(space: TruncatedSpace, bath: int, mode: int,
-           kind: str = "lower") -> SparseOperator:
-    """Annihilation (`lower`) or creation (`raise`) operator a_{bath, mode}.
-
-    Raising out of the particle cap maps to zero (adjoint of the truncated
-    lowering operator).
-    """
-    if not 0 <= bath < space.baths or not 0 <= mode < space.modes:
-        raise ValueError("bath or mode index out of range")
-    if kind not in ("lower", "raise"):
-        raise ValueError("kind must be 'lower' or 'raise'")
-    row, j, lower = _moves(space)
-    row, lower = row[j == mode], lower[j == mode]
-    block = _block(space, lower, row, np.sqrt(space.table[row, mode]))
-    if kind == "raise":
-        block = block.conj().T
-    return SparseOperator(space.dimension,
-                          _lift(space, bath, block, np.eye(space.sys_dim)))
 
 
 def _system_on_space(space: TruncatedSpace, mat) -> sp.csr_matrix:
@@ -435,29 +378,6 @@ def hamiltonian_bytes(model: SystemModel, space: TruncatedSpace) -> int:
                   + 2 * occupied * system_nnz(model.jumps))
     nnz = other_baths * bath_terms + space.env_dim * system_nnz(model.hs_terms)
     return 20 * nnz + 4 * (space.dimension + 1)
-
-
-def build_hamiltonian(model: SystemModel, chains, space: TruncatedSpace,
-                      t: float = 0.0) -> SparseOperator:
-    """Sparse dilated Hamiltonian at time t, conjugated by the particle cap."""
-    h_const, profiled = build_hamiltonian_parts(model, chains, space)
-    h = h_const
-    for term, profile in profiled:
-        h = h + profile(t) * term
-    return SparseOperator(space.dimension, h.tocsr(), hermitian=True)
-
-
-def project_particle_sector(space: TruncatedSpace, state, cap: int):
-    """Zero amplitudes with any bath occupation above `cap` (idempotent)."""
-    if cap > space.cap:
-        raise ValueError("sector cap exceeds the space cap")
-    state = np.asarray(state, dtype=complex)
-    keep = np.ones(space.dimension, dtype=bool)
-    for alpha in range(space.baths):
-        keep &= space.bath_occupancy_sums(alpha) <= cap
-    out = state.copy()
-    out[~keep] = 0.0
-    return out
 
 
 # -- initial environment states ----------------------------------------------

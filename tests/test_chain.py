@@ -156,6 +156,12 @@ def test_propagate_two_mode_beamsplitter():
     coeffs = ChainCoefficients(np.zeros(2), np.array([1.0]), 1.0, 1.0, 2)
     out = chain_propagate_single(coeffs, np.array([1.0 + 0j, 0.0]), math.pi / 2)
     assert out == pytest.approx(np.array([0.0, -1.0j]), abs=1e-12)
+    # an array of times gives one amplitude vector per time
+    out = chain_propagate_single(coeffs, np.array([1.0 + 0j, 0.0]),
+                                 np.array([0.0, math.pi / 2, math.pi]))
+    assert out.shape == (3, 2)
+    np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, -1.0j], [-1.0, 0.0]],
+                               atol=1e-12)
 
 
 @settings(max_examples=20, deadline=None)

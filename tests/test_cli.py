@@ -9,6 +9,7 @@ import pytest
 
 from nmk_sim import cli
 from nmk_sim import dynamics as dyn
+from nmk_sim import oracle as orc
 from nmk_sim.errors import SchemaViolation
 
 
@@ -132,6 +133,34 @@ def test_kernel_error_is_exit_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "at baths/0/kernel" in err and "strictly increasing" in err
+
+
+def test_complex_gaussian_kernel_is_exit_two(tmp_path, capsys):
+    # no nonnegative spectral density to regularize: refused by the schema
+    doc = _base_doc()
+    doc["baths"][0]["kernel"] = {
+        "kind": "complex_gaussian_sum",
+        "gaussians": [{"coefficient_re": 1.0, "chirp": 2.0}],
+    }
+    path = _write(tmp_path, doc)
+    code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "at baths/0/kernel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["certify", "sweep"])
+def test_cap_below_one_is_exit_two(tmp_path, capsys, mode):
+    # the truncation certificate divides by the cap
+    doc = _shipped("lorentzian-desk.json")
+    doc["particle_cap"] = 0
+    if mode == "sweep":
+        doc["particle_cap"] = 2
+        doc["sweep"] = {"particle_cap": [2, 0]}
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert cli.main([mode, "--config", path, "--out", str(out)]) == 2
+    assert "particle_cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oversized_space_fails_before_any_work(tmp_path, capsys):
@@ -405,6 +434,37 @@ def test_compare_oracle_report(tmp_path):
     assert all(d < 5e-3 for d in dists)
     oracle_rows = (out / "oracle-trajectory.csv").read_text().strip().split("\n")
     assert oracle_rows[1].split(",")[-1] == "1"  # oracle flag column
+
+
+def _single_photon_oracle_doc(star_modes):
+    doc = _base_doc(mode="compare-oracle")
+    doc["baths"][0]["initial"] = {
+        "type": "single_photon",
+        "wavepacket": {"center": 0.0, "width": 0.5},
+    }
+    doc["oracle"] = {"star_modes": star_modes}
+    return doc
+
+
+def test_compare_oracle_single_star_mode_photon(tmp_path, capsys):
+    path = _write(tmp_path, _single_photon_oracle_doc(1))
+    out = tmp_path / "out"
+    assert cli.main(["compare-oracle", "--config", path, "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "report.csv").exists()
+
+
+def test_star_photon_amplitudes_need_no_grid_step():
+    # the sqrt(dw) factor of a uniform star grid cancels in the normalization
+    cfg = cli.ExperimentConfig.from_document(_single_photon_oracle_doc(64))
+    couplings, _ = cli._regularized(cfg)
+    stars = [orc.StarDiscretization.from_coupling(c, cfg.cutoff_omega, 64)
+             for c in couplings]
+    amps = cli._star_env_states(cfg, stars)[0].amplitudes
+    w = stars[0].omegas
+    ref = np.exp(-w**2 / (2.0 * 0.5**2)) * math.sqrt(w[1] - w[0])
+    ref = ref / np.linalg.norm(ref)
+    np.testing.assert_allclose(amps, ref, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", ["coherent", "driven"])

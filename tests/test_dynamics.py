@@ -16,7 +16,6 @@ from nmk_sim.dynamics import (
     cutoff_error_bound,
     evolve,
     measure_moments,
-    moment_bound,
     regularization_error_bound,
     regularization_term,
     trace_distance,
@@ -207,21 +206,6 @@ def test_trajectory_state_sanity():
 
 # -- moments ----------------------------------------------------------------------
 
-def test_moment_bound_base_case():
-    assert moment_bound(0.5, 2.0, [0.7], 0) == [1.0]
-
-
-def test_moment_bound_vacuum_first_moment():
-    # M1 = 2^{-1} ell^2 t^2 (1 + 1)^2 = 2 ell^2 t^2
-    out = moment_bound(0.5, 2.0, [0.0], 1)
-    assert out[1] == pytest.approx(2.0 * 0.25 * 4.0)
-
-
-def test_moment_bound_decoupled():
-    out = moment_bound(0.0, 3.0, [0.3, 0.7], 2)
-    assert out == [1.0, 0.6, 1.4]
-
-
 def test_measure_moments_examples():
     space = enumerate_basis(1, 2, 1, 1, 3)
     vac = np.zeros(space.dimension, dtype=complex)
@@ -247,14 +231,18 @@ def test_measured_moments_below_apriori(flat_coupling):
     traj = evolve(model, [scaled], space, psi0, 4.0, StepControl(out_step=0.1))
     g = 0.5  # ||v|| ||L||
     assert np.all(traj.mu1[:, 0] <= apriori_mu1(g, traj.times) + 1e-10)
-    bound_m1 = [moment_bound(g, t, [0.0], 1)[1] for t in traj.times]
-    assert np.all(traj.mu1[:, 0] <= np.asarray(bound_m1) + 1e-10)
 
 
 # -- truncation certificate --------------------------------------------------------
 
 def test_certificate_zero_coupling():
     assert truncation_certificate(3, 2.0, [0.0]) == 0.0
+
+
+def test_certificate_rejects_cap_below_one():
+    # the leak term divides by the cap
+    with pytest.raises(ValueError):
+        truncation_certificate(0, 2.0, [0.5])
 
 
 def test_certificate_quarter_cap_halves():
@@ -391,6 +379,43 @@ def test_state_constants_photon_counts(lorentzian_kernel):
     assert sc.c_mu[0] == pytest.approx(math.sqrt(1.5 * math.pi / 2.0), rel=1e-3)
 
 
+def _segment_quad(kernel, edges):
+    from scipy.integrate import quad
+
+    def f(w):
+        return ker.eval_spectral_density(kernel, w) / (1.0 + w * w)
+    return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+def _photon_count_case(kind):
+    """(kernel, exact int mu_hat / (1 + w^2) dw)."""
+    if kind == "unit_delta":
+        return ker.MemoryKernel.delta_train([(1.0, 0.0)]), math.pi
+    if kind == "feedback_delay":
+        kernel = ker.MemoryKernel.delta_train(
+            [(-0.5, -0.8), (1.0, 0.0), (-0.5, 0.8)])
+        return kernel, math.pi * (1.0 - math.exp(-0.8))
+    if kind == "lorentzian":
+        kernel = ker.MemoryKernel.lorentzian_sum([(0.7, 1.3, 0.4),
+                                                  (0.2, -2.0, 0.9)])
+        return kernel, _segment_quad(kernel, [-np.inf, -2.0, 1.3, np.inf])
+    w = np.linspace(-3.0, 5.0, 41)
+    kernel = ker.MemoryKernel.tabulated(w, np.abs(np.sin(w)) + 0.1 * w**2)
+    return kernel, _segment_quad(kernel, w)
+
+
+@pytest.mark.parametrize("kind", ["unit_delta", "feedback_delay",
+                                  "lorentzian", "tabulated"])
+def test_photon_count_integral_is_exact(kind):
+    # c_mu^2 / N_{1,1} is int mu_hat / (1 + w^2) dw; a quadrature that falls
+    # below it would not bound the regularization error
+    kernel, exact = _photon_count_case(kind)
+    sc = StateConstants.from_photon_counts([kernel], [1.0], [1.0])
+    assert sc.c_mu[0] ** 2 == pytest.approx(exact, rel=1e-12)
+    assert sc.c_reg[0] == sc.c_mu[0]
+
+
 def test_hs_commutator_sup_bounds_driven_term():
     # H_S(s) = sin(3 pi s) sigma_x, L = sigma_z: sup_s ||[H_S(s), L]|| = 2,
     # reached at s = 1/6, 1/2 and 5/6, between the points of a coarse grid
@@ -410,6 +435,8 @@ def test_error_budget_total_and_validation():
     assert budget.total == pytest.approx(1.0)
     with pytest.raises(ValueError):
         ErrorBudget(-0.1, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        ErrorBudget(0.1, 0.0, 0.0, math.nan, 0.0)
 
 
 def test_assemble_error_budget(lorentzian_kernel, lorentzian_coupling):

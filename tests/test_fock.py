@@ -15,16 +15,13 @@ from nmk_sim.fock import (
     SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Z,
-    SparseOperator,
     SystemModel,
     TimeProfile,
     assemble_initial_state,
-    build_hamiltonian,
+    build_hamiltonian_parts,
     embed_system_operator,
     enumerate_basis,
     hamiltonian_bytes,
-    ladder,
-    project_particle_sector,
     project_wavepacket,
 )
 from nmk_sim.oracle import StarDiscretization, _star_hamiltonian
@@ -78,49 +75,35 @@ def test_index_round_trip_full_scan():
         assert space.labels_to_index(digits, blocks) == index
 
 
-# -- ladder operators ----------------------------------------------------------
+# -- ladder matrix elements ------------------------------------------------------
 
-def test_lower_annihilates_vacuum():
-    space = enumerate_basis(1, 2, 1, 2, 2)
-    vac = np.zeros(space.dimension)
-    vac[space.vacuum_index((0,))] = 1.0
-    out = ladder(space, 0, 0, "lower").matrix @ vac
-    assert np.linalg.norm(out) == 0.0
+def _hamiltonian(model, baths, space, t=0.0):
+    """H(t): the constant part plus every profiled term at time t."""
+    h, profiled = build_hamiltonian_parts(model, baths, space)
+    for term, profile in profiled:
+        h = h + profile(t) * term
+    return h
 
 
 def test_lower_matrix_element_sqrt2():
+    # the coupling L a^dag(g) takes |e, 1> to g sqrt(2) |g, 2>
+    model = SystemModel(1, 2, jumps=[((0,), SIGMA_MINUS, 0)])
+    coeffs = ChainCoefficients(np.array([0.3]), np.zeros(0), 0.7, 1.0, 1)
     space = enumerate_basis(1, 2, 1, 1, 3)
-    low = ladder(space, 0, 0, "lower").matrix
-    i1 = space.labels_to_index((0,), [(1,)])
-    i2 = space.labels_to_index((0,), [(2,)])
-    assert low[i1, i2] == pytest.approx(math.sqrt(2.0))
+    h = _hamiltonian(model, [coeffs], space)
+    ie1 = space.labels_to_index((0,), [(1,)])
+    ig2 = space.labels_to_index((1,), [(2,)])
+    assert h[ig2, ie1] == pytest.approx(0.7 * math.sqrt(2.0))
 
 
 def test_number_operator_diagonal():
+    # the onsite term w n is diagonal with n quanta counted exactly
+    model = SystemModel(1, 2, jumps=[((0,), SIGMA_MINUS, 0)])
+    coeffs = ChainCoefficients(np.array([0.3]), np.zeros(0), 0.7, 1.0, 1)
     space = enumerate_basis(1, 2, 1, 1, 3)
-    num = ladder(space, 0, 0, "raise").matrix @ ladder(space, 0, 0, "lower").matrix
+    h = _hamiltonian(model, [coeffs], space)
     i3 = space.labels_to_index((0,), [(3,)])
-    assert num[i3, i3].real == pytest.approx(3.0)
-
-
-def test_raise_out_of_cap_is_zero():
-    space = enumerate_basis(1, 2, 1, 1, 2)
-    top = np.zeros(space.dimension)
-    top[space.labels_to_index((0,), [(2,)])] = 1.0
-    assert np.linalg.norm(ladder(space, 0, 0, "raise").matrix @ top) == 0.0
-
-
-def test_commutation_on_interior():
-    """[a_i, a_j^dag] = delta_ij below the cap."""
-    space = enumerate_basis(1, 2, 1, 2, 3)
-    a0 = ladder(space, 0, 0, "lower").matrix
-    a0d = ladder(space, 0, 0, "raise").matrix
-    a1d = ladder(space, 0, 1, "raise").matrix
-    interior = sp.diags((space.bath_occupancy_sums(0) <= 2).astype(float))
-    same = interior @ (a0 @ a0d - a0d @ a0 - sp.identity(space.dimension)) @ interior
-    cross = interior @ (a0 @ a1d - a1d @ a0) @ interior
-    assert abs(same).max() < 1e-12
-    assert abs(cross).max() == 0.0
+    assert h[i3, i3].real == pytest.approx(3.0 * 0.3)
 
 
 # -- system operators ------------------------------------------------------------
@@ -148,12 +131,8 @@ def test_system_model_validation():
                                      TimeProfile())])
     with pytest.raises(ShapeMismatch):
         SystemModel(1, 2, jumps=[((0,), np.eye(4), 0)])
-    strict = SystemModel(1, 2, jumps=[((0,), SIGMA_MINUS, 0)],
-                         klocal_strict=True)
-    assert strict.jump_norm(0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        SystemModel(1, 2, jumps=[((0,), 2.0 * SIGMA_MINUS, 0)],
-                    klocal_strict=True)
+    model = SystemModel(1, 2, jumps=[((0,), SIGMA_MINUS, 0)])
+    assert model.jump_norm(0) == pytest.approx(1.0)
 
 
 # -- hamiltonian construction ----------------------------------------------------
@@ -172,13 +151,13 @@ def desk_setup():
 def test_zero_coupling_is_closed_system(desk_setup):
     model, _, space = desk_setup
     zero = ChainCoefficients(np.zeros(2), np.zeros(1), 0.0, 1.0, 2)
-    h = build_hamiltonian(model, [zero], space).matrix.toarray()
+    h = _hamiltonian(model, [zero], space).toarray()
     assert np.allclose(h, np.kron(0.5 * SIGMA_Z, np.eye(space.env_dim)))
 
 
 def test_single_excitation_coupling_element(desk_setup):
     model, coeffs, space = desk_setup
-    h = build_hamiltonian(model, [coeffs], space).matrix
+    h = _hamiltonian(model, [coeffs], space)
     ie = space.labels_to_index((0,), [(0, 0)])
     ig = space.labels_to_index((1,), [(1, 0)])
     assert h[ig, ie] == pytest.approx(coeffs.v_norm)
@@ -192,13 +171,13 @@ def test_hamiltonian_hermitian_for_sampled_times(desk_setup):
                                     TimeProfile("cos", 1.3))],
                          jumps=[((0,), SIGMA_MINUS, 0)])
     for t in (0.0, 0.7, 2.1):
-        op = build_hamiltonian(driven, [coeffs], space, t)
-        assert op.hermitian  # constructor verifies A = A^dag
+        h = _hamiltonian(driven, [coeffs], space, t)
+        assert abs(h - h.conj().T).max() <= 1e-12 * abs(h).max()
 
 
 def test_nonzeros_per_row_bound(desk_setup):
     model, coeffs, space = desk_setup
-    h = build_hamiltonian(model, [coeffs], space).matrix
+    h = _hamiltonian(model, [coeffs], space)
     per_row = np.diff(h.tocsr().indptr)
     fanout = 2  # single-qubit system terms
     assert per_row.max() <= fanout + 2 * space.baths + 2 * space.baths * space.modes
@@ -217,7 +196,7 @@ def test_hamiltonian_bytes_bounds_assembled_matrix():
         baths = [ChainCoefficients(np.linspace(-1.0, 1.0, modes),
                                    np.full(modes - 1, 0.5), 0.7, 2.0, modes)
                  for _ in range(2)]
-        h = build_hamiltonian(model, baths, space, 0.4).matrix
+        h = _hamiltonian(model, baths, space, 0.4)
         got = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
         estimate = hamiltonian_bytes(model, space)
         assert got <= estimate <= 2 * got
@@ -227,43 +206,7 @@ def test_shape_mismatch_rejected(desk_setup):
     model, coeffs, space = desk_setup
     bad = ChainCoefficients(np.zeros(3), np.zeros(2), 0.5, 1.0, 3)
     with pytest.raises(ShapeMismatch):
-        build_hamiltonian(model, [bad], space)
-
-
-def test_operator_dump_round_trip(desk_setup):
-    model, coeffs, space = desk_setup
-    op = build_hamiltonian(model, [coeffs], space)
-    text = op.to_coordinate_text()
-    header, *lines = text.strip().split("\n")
-    assert header.startswith(f"# dimension {space.dimension}")
-    assert len(lines) == op.matrix.tocoo().nnz
-
-
-# -- projector -------------------------------------------------------------------
-
-def test_projector_identity_at_cap():
-    space = enumerate_basis(1, 2, 1, 2, 2)
-    rng = np.random.default_rng(0)
-    state = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
-    assert np.allclose(project_particle_sector(space, state, 2), state)
-
-
-def test_projector_vacuum_unchanged():
-    space = enumerate_basis(1, 2, 1, 2, 2)
-    vac = np.zeros(space.dimension, dtype=complex)
-    vac[space.vacuum_index((0,))] = 1.0
-    assert np.allclose(project_particle_sector(space, vac, 0), vac)
-
-
-def test_projector_halves_split_state():
-    space = enumerate_basis(1, 2, 1, 2, 2)
-    state = np.zeros(space.dimension, dtype=complex)
-    state[space.vacuum_index((0,))] = 1.0 / math.sqrt(2.0)
-    state[space.labels_to_index((0,), [(2, 0)])] = 1.0 / math.sqrt(2.0)
-    out = project_particle_sector(space, state, 1)
-    assert np.linalg.norm(out) ** 2 == pytest.approx(0.5)
-    again = project_particle_sector(space, out, 1)
-    assert np.allclose(again, out)
+        build_hamiltonian_parts(model, [bad], space)
 
 
 # -- initial states ---------------------------------------------------------------
@@ -532,17 +475,6 @@ def test_builder_time_profiled_system_term():
                         (((0,), SIGMA_MINUS, 0),))
     space = enumerate_basis(1, 2, 1, 4, 2)
     _compare_builders("chain", model, [_random_bath("chain", rng, 4)], space)
-
-
-def test_ladder_matches_reference():
-    space = enumerate_basis(1, 2, 2, 3, 3)
-    for bath in range(2):
-        for mode in range(3):
-            ref = _ref_bath_local(space, bath, _ref_block_lower(space, mode))
-            _assert_same_operator(ladder(space, bath, mode, "lower").matrix,
-                                  ref, exact=True)
-            _assert_same_operator(ladder(space, bath, mode, "raise").matrix,
-                                  ref.conj().T, exact=True)
 
 
 @pytest.mark.parametrize("modes,cap", [(1, 0), (1, 4), (3, 3), (6, 2),
