@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
@@ -287,6 +286,8 @@ def flat_chain_error_mp(omega_c: float, modes: int, t: float, dps: int = 60):
     """
     if t == 0.0:
         return 0.0, 0.0
+    import mpmath as mp
+
     with mp.workdps(dps):
         wc = mp.mpf(omega_c)
         tt = mp.mpf(t)

@@ -220,9 +220,16 @@ def _space(cfg, modes, cap):
     return space
 
 
+def _no_photon_weight(cfg, bath, wp):
+    return UnsupportedInitialState(
+        f"bath {bath}: single-photon wavepacket at center {wp['center']:g} has "
+        f"no weight below cutoff_omega {cfg.cutoff_omega:g}")
+
+
 def _env_states(cfg, chains, couplings):
     states = []
-    for doc, coeffs, coupling in zip(cfg.env_docs, chains, couplings):
+    for i, (doc, coeffs, coupling) in enumerate(zip(cfg.env_docs, chains,
+                                                    couplings)):
         kind = doc["type"]
         if kind == "vacuum":
             states.append(fock.InitialEnvState())
@@ -230,8 +237,13 @@ def _env_states(cfg, chains, couplings):
             wp = doc["wavepacket"]
             w = coupling.grid
             xi = np.exp(-((w - wp["center"]) ** 2) / (2.0 * wp["width"] ** 2))
-            xi = xi / math.sqrt(float(np.trapezoid(np.abs(xi) ** 2, w)))
+            norm_sq = float(np.trapezoid(np.abs(xi) ** 2, w))
+            if norm_sq == 0.0:
+                raise _no_photon_weight(cfg, i, wp)
+            xi = xi / math.sqrt(norm_sq)
             amps, residual = fock.project_wavepacket(coeffs, coupling, w, xi)
+            if np.linalg.norm(amps) == 0.0:
+                raise _no_photon_weight(cfg, i, wp)
             states.append(fock.InitialEnvState("single_photon", amps,
                                                math.sqrt(max(residual, 0.0))))
         else:
@@ -253,7 +265,7 @@ def _simulate(cfg, space, chains, env):
 def _star_env_states(cfg, stars):
     """Environment states projected onto the star modes."""
     states = []
-    for doc, star in zip(cfg.env_docs, stars):
+    for i, (doc, star) in enumerate(zip(cfg.env_docs, stars)):
         kind = doc["type"]
         if kind == "vacuum":
             states.append(fock.InitialEnvState())
@@ -261,8 +273,10 @@ def _star_env_states(cfg, stars):
             wp = doc["wavepacket"]
             xi = np.exp(-((star.omegas - wp["center"]) ** 2)
                         / (2.0 * wp["width"] ** 2)).astype(complex)
-            states.append(fock.InitialEnvState("single_photon",
-                                               xi / np.linalg.norm(xi)))
+            norm = np.linalg.norm(xi)
+            if norm == 0.0:
+                raise _no_photon_weight(cfg, i, wp)
+            states.append(fock.InitialEnvState("single_photon", xi / norm))
     return states
 
 
@@ -275,7 +289,7 @@ def _state_constants(cfg, couplings):
             "regularization constants are only computable for vacuum and "
             "single-photon environment states")
     n1, n2 = [], []
-    for doc, coupling in zip(cfg.env_docs, couplings):
+    for i, (doc, coupling) in enumerate(zip(cfg.env_docs, couplings)):
         if doc["type"] == "vacuum":
             n1.append(0.0)
             n2.append(0.0)
@@ -283,7 +297,10 @@ def _state_constants(cfg, couplings):
             wp = doc["wavepacket"]
             w = coupling.grid
             xi2 = np.exp(-((w - wp["center"]) ** 2) / wp["width"] ** 2)
-            xi2 = xi2 / float(np.trapezoid(xi2, w))
+            mass = float(np.trapezoid(xi2, w))
+            if mass == 0.0:
+                raise _no_photon_weight(cfg, i, wp)
+            xi2 = xi2 / mass
             n1.append(float(np.trapezoid((1.0 + w**2) * xi2, w)))
             n2.append(float(np.trapezoid((1.0 + w**2) ** 2 * xi2, w)))
     return dyn.StateConstants.from_photon_counts(cfg.kernels, n1, n2)
@@ -393,6 +410,11 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", regularized=None):
     couplings, reg_term = regularized or _regularized(cfg)
     chains = _chains(couplings, cfg.cutoff_omega, cfg.modes)
     env = _env_states(cfg, chains, couplings)
+    if cfg.mode == "compare-oracle":
+        stars = [orc.StarDiscretization.from_coupling(c, cfg.cutoff_omega,
+                                                      cfg.star_modes)
+                 for c in couplings]
+        star_env = _star_env_states(cfg, stars)
     traj, lost = _simulate(cfg, space, chains, env)
     _atomic_write(os.path.join(out_dir, f"trajectory{suffix}.csv"),
                   trajectory_csv(traj, space.sys_dim))
@@ -402,10 +424,6 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", regularized=None):
         return {}
 
     if cfg.mode == "compare-oracle":
-        stars = [orc.StarDiscretization.from_coupling(c, cfg.cutoff_omega,
-                                                      cfg.star_modes)
-                 for c in couplings]
-        star_env = _star_env_states(cfg, stars)
         psi0, _ = fock.assemble_initial_state(star_space, cfg.sys_initial,
                                               star_env)
         star_traj = orc.star_evolve(cfg.model, stars, star_space, psi0,

@@ -18,7 +18,6 @@ from scipy.sparse.linalg import expm_multiply
 from .chain import chain_error_bound_value, chain_error_single
 from .errors import (
     EpsilonTooLarge,
-    NonPositiveDensity,
     StepControlFailure,
     UnsupportedInitialState,
 )
@@ -31,7 +30,6 @@ from .fock import (
 from .kernels import (
     DELTA_TRAIN,
     LORENTZIAN_SUM,
-    TABULATED,
     error_functions,
     total_variation,
 )
@@ -405,13 +403,10 @@ def _weighted_density_integral(kernel) -> float:
     if kernel.kind == DELTA_TRAIN:
         return math.pi * sum(w.real * math.exp(-abs(x))
                              for w, x in kernel.atoms)
-    if kernel.kind == TABULATED:
-        w, m = kernel.tab_omega, kernel.tab_values
-        s = np.diff(m) / np.diff(w)
-        return float(np.sum((m[:-1] - s * w[:-1]) * np.diff(np.arctan(w))
-                            + 0.5 * s * np.diff(np.log1p(w**2))))
-    raise NonPositiveDensity(
-        "complex-gaussian kernels do not define a nonnegative spectral density")
+    w, m = kernel.tab_omega, kernel.tab_values
+    s = np.diff(m) / np.diff(w)
+    return float(np.sum((m[:-1] - s * w[:-1]) * np.diff(np.arctan(w))
+                        + 0.5 * s * np.diff(np.log1p(w**2))))
 
 
 @dataclass(frozen=True)

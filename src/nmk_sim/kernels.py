@@ -21,8 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
-from scipy.special import fresnel
 
 from .errors import (
     EpsilonTooLarge,
@@ -36,10 +34,9 @@ IMAG_TOL = 1e-12
 
 LORENTZIAN_SUM = "lorentzian_sum"
 DELTA_TRAIN = "delta_train"
-COMPLEX_GAUSSIAN_SUM = "complex_gaussian_sum"
 TABULATED = "tabulated"
 
-_KINDS = (LORENTZIAN_SUM, DELTA_TRAIN, COMPLEX_GAUSSIAN_SUM, TABULATED)
+_KINDS = (LORENTZIAN_SUM, DELTA_TRAIN, TABULATED)
 
 
 @dataclass(frozen=True)
@@ -54,7 +51,6 @@ class MemoryKernel:
     kind: str
     lorentzians: tuple = ()          # (alpha > 0, omega, gamma > 0)
     atoms: tuple = ()                # (weight complex, location), locations increasing
-    gaussians: tuple = ()            # (coefficient complex, chirp)
     tab_omega: np.ndarray | None = None
     tab_values: np.ndarray | None = None
     phase_poly: tuple = ()
@@ -74,9 +70,6 @@ class MemoryKernel:
             locs = [loc for _, loc in self.atoms]
             if any(b <= a for a, b in zip(locs, locs[1:])):
                 raise ValueError("atom locations must be strictly increasing")
-        elif self.kind == COMPLEX_GAUSSIAN_SUM:
-            if not self.gaussians:
-                raise ValueError("complex_gaussian_sum kernel needs at least one term")
         else:
             grid = np.asarray(self.tab_omega, dtype=float)
             vals = np.asarray(self.tab_values, dtype=float)
@@ -103,12 +96,6 @@ class MemoryKernel:
                    phase_poly=tuple(phase_poly))
 
     @classmethod
-    def complex_gaussian_sum(cls, terms, phase_poly=()):
-        return cls(COMPLEX_GAUSSIAN_SUM,
-                   gaussians=tuple((complex(c), float(k)) for c, k in terms),
-                   phase_poly=tuple(phase_poly))
-
-    @classmethod
     def tabulated(cls, omega, values, phase_poly=()):
         return cls(TABULATED, tab_omega=np.asarray(omega, dtype=float),
                    tab_values=np.asarray(values, dtype=float),
@@ -131,11 +118,6 @@ class MemoryKernel:
             out = np.zeros(t.shape, dtype=complex)
             for a, w0, g in self.lorentzians:
                 out += (a / (2.0 * g)) * np.exp(-g * np.abs(t)) * np.exp(-1j * w0 * t)
-            return out
-        if self.kind == COMPLEX_GAUSSIAN_SUM:
-            out = np.zeros(t.shape, dtype=complex)
-            for c, k in self.gaussians:
-                out += c * np.exp(1j * k * t * t)
             return out
         if self.kind == TABULATED:
             # (1/2pi) int mu_hat exp(-i w t) dw over the tabulated support.
@@ -170,23 +152,41 @@ def eval_spectral_density(kernel: MemoryKernel, omega):
         if np.min(out) < -IMAG_TOL * scale:
             raise NonPositiveDensity("delta-train spectral density is negative")
         out = np.maximum(out, 0.0)
-    elif kernel.kind == TABULATED:
+    else:
         out = np.interp(omega_arr, kernel.tab_omega, kernel.tab_values,
                         left=0.0, right=0.0)
-    else:
-        raise NonPositiveDensity(
-            "complex-gaussian kernels do not define a nonnegative spectral density"
-        )
     return out if np.ndim(omega) else float(out)
 
 
+def _exp_abs_integral(g, a, b):
+    """int_a^b exp(-g |t|) dt for a < b, free of cancellation."""
+    if a >= 0.0:
+        return -math.exp(-g * a) * math.expm1(-g * (b - a)) / g
+    if b <= 0.0:
+        return -math.exp(g * b) * math.expm1(-g * (b - a)) / g
+    return -(math.expm1(g * a) + math.expm1(-g * b)) / g
+
+
 def total_variation(kernel: MemoryKernel, interval) -> float:
-    """Total variation of the kernel restricted to [a, b]."""
+    """Total variation of the kernel restricted to [a, b].
+
+    Lorentzian sums take the closed form
+    sum_j (alpha_j / 2 gamma_j) int_a^b exp(-gamma_j |t|) dt.  It is exact
+    when all terms share one center omega (every alpha_j > 0, so the terms
+    add in phase); with mixed centers it is an upper bound by the triangle
+    inequality, which every consumer may use, since each enters an upper
+    bound.  Tabulated kernels integrate |kappa| with adaptive quadrature.
+    """
     a, b = interval
     if not a < b:
         raise ValueError("interval must satisfy a < b")
     if kernel.kind == DELTA_TRAIN:
         return float(sum(abs(w) for w, loc in kernel.atoms if a <= loc <= b))
+    if kernel.kind == LORENTZIAN_SUM:
+        return float(sum(al / (2.0 * g) * _exp_abs_integral(g, a, b)
+                         for al, _, g in kernel.lorentzians))
+
+    from scipy.integrate import quad
 
     def speed(t):
         return abs(kernel.time_density(t))
@@ -215,11 +215,6 @@ def error_functions(kernel: MemoryKernel, interval, eps: float):
     if kernel.kind == LORENTZIAN_SUM:
         lip = sum(al * math.hypot(g, w0) / (2.0 * g) for al, w0, g in kernel.lorentzians)
         return eps * lip, 0.0
-
-    if kernel.kind == COMPLEX_GAUSSIAN_SUM:
-        window = max(abs(3.0 * b - a), abs(3.0 * a - b)) / 2.0
-        d0 = eps * sum(abs(c * k) for c, k in kernel.gaussians) * window
-        return d0, 0.0
 
     if kernel.kind == TABULATED:
         w = kernel.tab_omega
@@ -255,26 +250,10 @@ def _lorentzian_cumulative(kernel, x):
     return out
 
 
-def _fresnel_integral(k, x):
-    """int_0^x exp(i k t^2) dt, vectorized in x."""
-    x = np.asarray(x, dtype=float)
-    if k == 0.0:
-        return x.astype(complex)
-    s = math.sqrt(math.pi / (2.0 * abs(k)))
-    sv, cv = fresnel(x / s)
-    return s * (cv + 1j * np.sign(k) * sv)
-
-
 def _cumulative(kernel, x):
     """Cumulative of the continuous part, up to an additive constant."""
     if kernel.kind == LORENTZIAN_SUM:
         return _lorentzian_cumulative(kernel, x)
-    if kernel.kind == COMPLEX_GAUSSIAN_SUM:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for c, k in kernel.gaussians:
-            out += c * _fresnel_integral(k, x)
-        return out
     if kernel.kind == TABULATED:
         x = np.asarray(x, dtype=float)
         kap = kernel.time_density(x)

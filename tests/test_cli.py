@@ -454,6 +454,42 @@ def test_compare_oracle_single_star_mode_photon(tmp_path, capsys):
     assert (out / "report.csv").exists()
 
 
+def _far_photon_doc(center, width):
+    doc = _shipped("lorentzian-desk.json")
+    doc["t_final"] = 0.5
+    doc["baths"][0]["initial"] = {
+        "type": "single_photon",
+        "wavepacket": {"center": center, "width": width},
+    }
+    return doc
+
+
+@pytest.mark.parametrize("mode", ["simulate", "compare-oracle"])
+def test_wavepacket_outside_cutoff_is_exit_three(tmp_path, capsys, mode):
+    path = _write(tmp_path, _far_photon_doc(60.0, 0.5))
+    out = tmp_path / "o"
+    assert cli.main([mode, "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("bath 0" in err and "center 60" in err
+            and "cutoff_omega 3" in err)
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_star_wavepacket_outside_cutoff_fails_before_chain_run(
+        tmp_path, monkeypatch, capsys):
+    # the star nodes stop short of omega_c, so a narrow packet just beyond it
+    # underflows on every node; the chain state is replaced by vacuum so that
+    # only the star projection can refuse it, before anything is written
+    monkeypatch.setattr(cli, "_env_states", lambda cfg, chains, couplings:
+                        [cli.fock.InitialEnvState()])
+    path = _write(tmp_path, _far_photon_doc(3.3, 0.01))
+    out = tmp_path / "o"
+    assert cli.main(["compare-oracle", "--config", path, "--out", str(out)]) == 3
+    assert "no weight below" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_star_photon_amplitudes_need_no_grid_step():
     # the sqrt(dw) factor of a uniform star grid cancels in the normalization
     cfg = cli.ExperimentConfig.from_document(_single_photon_oracle_doc(64))
