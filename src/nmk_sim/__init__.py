@@ -14,7 +14,6 @@ from .chain import (
 from .dynamics import (
     ErrorBudget,
     StateConstants,
-    StepControl,
     Trajectory,
     assemble_error_budget,
     chain_error_bound,
@@ -49,7 +48,7 @@ from .oracle import StarDiscretization, lindblad_evolve, star_evolve
 __all__ = [
     "ChainCoefficients", "QuadratureRule", "chain_error_single",
     "chain_propagate_single", "gauss_quadrature", "star_to_chain",
-    "ErrorBudget", "StateConstants", "StepControl", "Trajectory",
+    "ErrorBudget", "StateConstants", "Trajectory",
     "assemble_error_budget", "chain_error_bound", "cutoff_error_bound",
     "evolve", "measure_moments",
     "regularization_error_bound", "regularization_term", "trace_distance",

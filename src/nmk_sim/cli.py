@@ -183,6 +183,9 @@ class ExperimentConfig:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaViolation(f"at line {exc.lineno}: {exc.msg}") from exc
+        except OSError as exc:
+            raise SchemaViolation(
+                f"at --config: cannot read {path}: {exc.strerror}") from exc
         return cls.from_document(doc)
 
 
@@ -258,7 +261,7 @@ def _simulate(cfg, space, chains, env):
     """Propagate the built stages; returns (validated trajectory, lost norm)."""
     psi0, lost = fock.assemble_initial_state(space, cfg.sys_initial, env)
     traj = dyn.evolve(cfg.model, chains, space, psi0, cfg.t_final,
-                      dyn.StepControl(out_step=cfg.out_step))
+                      out_step=cfg.out_step)
     return traj.validate(), lost
 
 
@@ -324,16 +327,14 @@ def trajectory_csv(traj: dyn.Trajectory, sys_dim: int) -> str:
     cols += [f"mu1_{a}" for a in range(baths)]
     cols += [f"mu2_{a}" for a in range(baths)]
     cols += ["norm", "oracle"]
+    n = len(traj.times)
+    rho = traj.rho_s.reshape(n, sys_dim * sys_dim)
+    table = np.column_stack([
+        traj.times, np.stack([rho.real, rho.imag], axis=-1).reshape(n, -1),
+        traj.mu1, traj.mu2, traj.norms])
+    flag = str(int(traj.oracle))
     lines = [",".join(cols)]
-    for k, t in enumerate(traj.times):
-        row = [_fmt(t)]
-        for i in range(sys_dim):
-            for j in range(sys_dim):
-                row += [_fmt(traj.rho_s[k, i, j].real), _fmt(traj.rho_s[k, i, j].imag)]
-        row += [_fmt(x) for x in traj.mu1[k]]
-        row += [_fmt(x) for x in traj.mu2[k]]
-        row += [_fmt(traj.norms[k]), str(int(traj.oracle))]
-        lines.append(",".join(row))
+    lines += [",".join([*map(_fmt, row), flag]) for row in table]
     return "\n".join(lines) + "\n"
 
 
@@ -352,7 +353,7 @@ def _padded(env, extra):
 
 
 def _max_gap(traj, fine):
-    return max(dyn.trace_distance(a, b) for a, b in zip(traj.rho_s, fine.rho_s))
+    return float(np.max(dyn.trace_distance(traj.rho_s, fine.rho_s)))
 
 
 def _measured_gaps(cfg, couplings, space, chains, env, base_traj, cap_space,
@@ -384,7 +385,6 @@ def _measured_gaps(cfg, couplings, space, chains, env, base_traj, cap_space,
 
 
 def _run_point(cfg: ExperimentConfig, out_dir, tag="", regularized=None):
-    os.makedirs(out_dir, exist_ok=True)
     suffix = f"-{tag}" if tag else ""
 
     if cfg.mode == "chain-map":
@@ -427,16 +427,13 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", regularized=None):
         psi0, _ = fock.assemble_initial_state(star_space, cfg.sys_initial,
                                               star_env)
         star_traj = orc.star_evolve(cfg.model, stars, star_space, psi0,
-                                    cfg.t_final,
-                                    dyn.StepControl(out_step=cfg.out_step))
+                                    cfg.t_final, out_step=cfg.out_step)
         star_traj.validate()
         _atomic_write(os.path.join(out_dir, f"oracle-trajectory{suffix}.csv"),
                       trajectory_csv(star_traj, star_space.sys_dim))
+        dists = dyn.trace_distance(traj.rho_s, star_traj.rho_s)
         lines = ["t,trace_distance"]
-        for k, t in enumerate(traj.times):
-            lines.append(",".join([
-                _fmt(t), _fmt(dyn.trace_distance(traj.rho_s[k],
-                                                 star_traj.rho_s[k]))]))
+        lines += [f"{_fmt(t)},{_fmt(d)}" for t, d in zip(traj.times, dists)]
         _atomic_write(os.path.join(out_dir, f"report{suffix}.csv"),
                       "\n".join(lines) + "\n")
         return {}
@@ -506,8 +503,11 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, jobs: int):
             by_eps[pt["epsilon"]] = _regularized(_point_config(cfg, pt))
     work = [(cfg, pt, out_dir, tag, by_eps[pt["epsilon"]])
             for pt, tag in zip(points, tags)]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork-started pool starts all of its workers on the first submit
+    workers = min(jobs, len(points))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers) as pool:
             rows = dict(pool.map(_sweep_worker, work))
     else:
         rows = dict(map(_sweep_worker, work))
@@ -529,7 +529,11 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, jobs: int):
 
 def run(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
     """Execute the configured mode; returns the process exit status."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise SchemaViolation(
+            f"at --out: cannot create {out_dir}: {exc.strerror}") from exc
     log.info("mode %s: %d bath(s), omega_c=%g, modes=%d, cap=%d, t=%g",
              config.mode, len(config.kernels), config.cutoff_omega,
              config.modes, config.particle_cap, config.t_final)
@@ -559,6 +563,9 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
 
     try:
+        if args.jobs < 1:
+            raise SchemaViolation(
+                f"at --jobs: needs at least 1 worker, got {args.jobs}")
         cfg = ExperimentConfig.from_path(args.config)
         cfg = replace(cfg, mode=args.command)
         if cfg.mode == "sweep" and not cfg.sweep_axes:

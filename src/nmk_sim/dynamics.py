@@ -28,10 +28,9 @@ from .fock import (
     embed_system_operator,
 )
 from .kernels import (
-    DELTA_TRAIN,
-    LORENTZIAN_SUM,
     error_functions,
     total_variation,
+    weighted_density_integral,
 )
 
 # A constant Hamiltonian is propagated by one dense `eigh`, at about
@@ -76,6 +75,11 @@ KRYLOV_COST_RATIO = 150.0
 # 2.4 ms, at dim 90 3.0 ms against 1.9 ms and at dim 702 710 ms against
 # 2.7 ms (one BLAS thread, 2-vCPU x86 KVM guest).
 DENSE_EXPM_DIM = 80
+# CF4 local-error tolerance per output interval, and the halvings of its
+# substep (from 4) allowed before the controller fails.
+CF4_TOL = 1e-9
+CF4_MAX_HALVINGS = 18
+VALIDATE_TOL = 1e-8       # see `Trajectory.validate`
 # Points of the [0, t] grid on which the truncation and regularization bounds
 # integrate their a-priori curves.
 BOUND_GRID = 257
@@ -89,15 +93,6 @@ _CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
 _CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
 
 
-@dataclass(frozen=True)
-class StepControl:
-    """Output grid step and local-error tolerance for the propagator."""
-
-    out_step: float = 0.05
-    tol: float = 1e-9
-    max_halvings: int = 18
-
-
 @dataclass
 class Trajectory:
     """Output time grid with reduced states, moments, and norm diagnostics."""
@@ -107,29 +102,32 @@ class Trajectory:
     mu1: np.ndarray            # (T, M)
     mu2: np.ndarray            # (T, M)
     norms: np.ndarray          # (T,)
-    states: list | None = None
+    states: np.ndarray | None = None     # (T, dim)
     oracle: bool = False
 
-    def validate(self, tol: float = 1e-8):
+    def validate(self):
+        """Raise `StepControlFailure` unless all values are finite and norm
+        drift, trace drift and negative eigenvalues stay within VALIDATE_TOL."""
         # every check below reads `x > tol`, which NaN passes
         if not all(np.isfinite(a).all()
                    for a in (self.rho_s, self.mu1, self.mu2, self.norms)):
             raise StepControlFailure("trajectory holds non-finite values")
         drift = self.norm_drift
-        if drift > tol:
-            raise StepControlFailure(f"norm drift {drift:.2e} exceeds {tol:.0e}")
-        for rho in self.rho_s:
-            herm = np.max(np.abs(rho - rho.conj().T))
-            if herm > 1e-10:
-                raise StepControlFailure(
-                    f"reduced state not Hermitian: {herm:.2e}")
-            tr = abs(np.trace(rho).real - self.norms[0] ** 2)
-            if tr > tol:
-                raise StepControlFailure(f"reduced state trace drift {tr:.2e}")
-            evs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-            if float(np.min(evs)) < -tol:
-                raise StepControlFailure(
-                    f"reduced state not PSD: {np.min(evs):.2e}")
+        if drift > VALIDATE_TOL:
+            raise StepControlFailure(
+                f"norm drift {drift:.2e} exceeds {VALIDATE_TOL:.0e}")
+        rho = self.rho_s
+        rho_h = rho.conj().swapaxes(-1, -2)
+        herm = float(np.max(np.abs(rho - rho_h)))
+        if herm > 1e-10:
+            raise StepControlFailure(f"reduced state not Hermitian: {herm:.2e}")
+        tr = float(np.max(np.abs(np.trace(rho, axis1=1, axis2=2).real
+                                 - self.norms[0] ** 2)))
+        if tr > VALIDATE_TOL:
+            raise StepControlFailure(f"reduced state trace drift {tr:.2e}")
+        low = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho_h))))
+        if low < -VALIDATE_TOL:
+            raise StepControlFailure(f"reduced state not PSD: {low:.2e}")
         return self
 
     @property
@@ -141,21 +139,24 @@ class Trajectory:
         return self.rho_s[:, 0, 0].real
 
 
-def _reduced_density(space: TruncatedSpace, psi):
-    mat = psi.reshape(space.sys_dim, space.env_dim)
-    return mat @ mat.conj().T
-
-
 def measure_moments(space: TruncatedSpace, psi):
-    """Per-bath (mu1, mu2): first two moments of the occupation number."""
-    prob = np.abs(np.asarray(psi)) ** 2
-    mu1 = np.empty(space.baths)
-    mu2 = np.empty(space.baths)
-    for alpha in range(space.baths):
-        s = space.bath_occupancy_sums(alpha)
-        mu1[alpha] = float(prob @ s)
-        mu2[alpha] = float(prob @ (s.astype(float) ** 2))
-    return mu1, mu2
+    """Per-bath (mu1, mu2): first two moments of the occupation number, of
+    shape (M,) for one state (dim,) or (..., M) for a stack (..., dim).
+
+    Each bath's marginal of |psi|^2 viewed as (sys_dim, B, ..., B) is dotted
+    with the occupation sums of the B block states.
+    """
+    psi = np.asarray(psi)
+    prob = np.abs(psi.reshape((-1, space.sys_dim)
+                              + (space.block_size,) * space.baths)) ** 2
+    occupation = space.table.sum(axis=1).astype(float)
+    marginals = [prob.sum(axis=tuple(ax for ax in range(1, prob.ndim)
+                                     if ax != 2 + a))
+                 for a in range(space.baths)]
+    mu1 = np.stack([m @ occupation for m in marginals], axis=-1)
+    mu2 = np.stack([m @ occupation**2 for m in marginals], axis=-1)
+    shape = psi.shape[:-1] + (space.baths,)
+    return mu1.reshape(shape), mu2.reshape(shape)
 
 
 def _expm_apply(a, psi):
@@ -182,7 +183,7 @@ def output_times(t_final: float, out_step: float) -> np.ndarray:
 
 
 def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
-           t_final: float, dt_control: StepControl | None = None,
+           t_final: float, out_step: float = 0.05,
            keep_states: bool = False) -> Trajectory:
     """Propagate psi0 under the dilated Hamiltonian and record the trajectory.
 
@@ -192,17 +193,16 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
     nnz (||H||_1 t_final + output count), and dense never runs above
     `DENSE_EIG_DIM`.  Time-dependent ones use a
     commutator-free fourth-order scheme with step halving until the
-    Richardson estimate meets the tolerance.  At or below
+    Richardson estimate meets `CF4_TOL`.  At or below
     `DENSE_EXPM_DIM` a driven Hamiltonian is converted to dense arrays once
     and each step takes dense `expm` exponentials; above it the steps stay
     sparse and use Krylov `expm_multiply`.  States are recorded on
     `output_times(t_final, out_step)`, the grid the star oracle also uses.
     """
-    ctl = dt_control or StepControl()
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (space.dimension,):
         raise ValueError("initial state has wrong dimension")
-    times = output_times(t_final, ctl.out_step)
+    times = output_times(t_final, out_step)
 
     h_const, profiled = build_hamiltonian_parts(model, chains, space)
     if not profiled:
@@ -218,12 +218,13 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
                 h = h + profile(t) * term
             return h
 
-        states = _propagate_cf4(h_of_t, psi0, times, ctl)
+        states = _propagate_cf4(h_of_t, psi0, times)
 
     return _collect(space, times, states, keep_states, oracle=False)
 
 
 def _propagate_const(h, psi0, times):
+    """States exp(-i h t) psi0 at `times`, one row each: (T, dim)."""
     dim = psi0.size
     if dim <= DENSE_EIG_DIM:
         # exact sparse 1-norm: the quantity expm_multiply's step count follows
@@ -232,19 +233,20 @@ def _propagate_const(h, psi0, times):
         if dim**3 < KRYLOV_COST_RATIO * krylov_cost:
             vals, vecs = eigh(h.toarray())
             coeff = vecs.conj().T @ psi0
-            return [vecs @ (np.exp(-1j * vals * t) * coeff) for t in times]
-    out = expm_multiply(-1j * h.tocsc(), psi0, start=times[0], stop=times[-1],
-                        num=len(times), endpoint=True)
-    return list(out)
+            return np.array([vecs @ (np.exp(-1j * vals * t) * coeff)
+                             for t in times])
+    return expm_multiply(-1j * h.tocsc(), psi0, start=times[0], stop=times[-1],
+                         num=len(times), endpoint=True)
 
 
-def _propagate_cf4(h_of_t, psi0, times, ctl):
-    states = [psi0]
-    psi = psi0
-    for t0, t1 in zip(times[:-1], times[1:]):
+def _propagate_cf4(h_of_t, psi0, times):
+    """CF4 states at `times`, one row each: (T, dim)."""
+    states = np.empty((len(times), psi0.size), dtype=complex)
+    states[0] = psi = psi0
+    for i, (t0, t1) in enumerate(zip(times[:-1], times[1:])):
         n_sub = 4
         prev = None
-        for _ in range(ctl.max_halvings):
+        for _ in range(CF4_MAX_HALVINGS):
             cur = psi
             dt = (t1 - t0) / n_sub
             for k in range(n_sub):
@@ -252,7 +254,7 @@ def _propagate_cf4(h_of_t, psi0, times, ctl):
             # a unitary step drifts in norm only by rounding, far below tol;
             # Trajectory.validate checks the drift of the whole trajectory
             if (prev is not None
-                    and float(np.linalg.norm(cur - prev)) / 15.0 < ctl.tol):
+                    and float(np.linalg.norm(cur - prev)) / 15.0 < CF4_TOL):
                 break
             prev = cur
             n_sub *= 2
@@ -260,31 +262,29 @@ def _propagate_cf4(h_of_t, psi0, times, ctl):
             raise StepControlFailure(
                 f"CF4 controller failed on [{t0}, {t1}] at {n_sub} substeps"
             )
-        psi = cur
-        states.append(psi)
+        states[i + 1] = psi = cur
     return states
 
 
 def _collect(space, times, states, keep_states, oracle):
-    n = len(times)
-    rho = np.empty((n, space.sys_dim, space.sys_dim), dtype=complex)
-    mu1 = np.empty((n, space.baths))
-    mu2 = np.empty((n, space.baths))
-    norms = np.empty(n)
-    for i, psi in enumerate(states):
-        rho[i] = _reduced_density(space, psi)
-        mu1[i], mu2[i] = measure_moments(space, psi)
-        norms[i] = float(np.linalg.norm(psi))
-    return Trajectory(np.asarray(times), rho, mu1, mu2, norms,
-                      states=list(states) if keep_states else None,
-                      oracle=oracle)
+    """Trajectory of the (T, dim) states: reduced states by one batched
+    product over their (T, sys_dim, env_dim) view, moments and norms."""
+    states = np.asarray(states)
+    mat = states.reshape(len(times), space.sys_dim, space.env_dim)
+    rho = mat @ mat.conj().swapaxes(1, 2)
+    mu1, mu2 = measure_moments(space, states)
+    return Trajectory(np.asarray(times), rho, mu1, mu2,
+                      np.linalg.norm(states, axis=1),
+                      states=states if keep_states else None, oracle=oracle)
 
 
-def trace_distance(rho, sigma) -> float:
-    """(1/2) ||rho - sigma||_1."""
-    diff = rho - sigma
-    evs = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    return 0.5 * float(np.sum(np.abs(evs)))
+def trace_distance(rho, sigma):
+    """(1/2) ||rho - sigma||_1: a float for one pair of (ds, ds) states, an
+    array for stacks (..., ds, ds)."""
+    diff = np.asarray(rho) - np.asarray(sigma)
+    evs = np.linalg.eigvalsh(0.5 * (diff + diff.conj().swapaxes(-1, -2)))
+    dist = 0.5 * np.sum(np.abs(evs), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 # -- particle-number moments and certificates --------------------------------
@@ -387,28 +387,6 @@ def chain_error_bound(jump_norms, chains, t: float,
     return prefactor * total
 
 
-def _weighted_density_integral(kernel) -> float:
-    """Exact int mu_hat(w) / (1 + w^2) dw over the real line.
-
-    Lorentzian terms alpha / ((w - w0)^2 + gamma^2) give
-    alpha pi (gamma + 1) / (gamma (w0^2 + (gamma + 1)^2)); a delta atom
-    a exp(-i w x) gives pi Re(a) exp(-|x|); a tabulated density, linear
-    m + s (w - w_k) on each grid segment and zero outside, gives
-    (m - s w_k) (atan w_{k+1} - atan w_k)
-    + (s / 2) (log1p(w_{k+1}^2) - log1p(w_k^2)) per segment.
-    """
-    if kernel.kind == LORENTZIAN_SUM:
-        return sum(a * math.pi * (g + 1.0) / (g * (w0**2 + (g + 1.0) ** 2))
-                   for a, w0, g in kernel.lorentzians)
-    if kernel.kind == DELTA_TRAIN:
-        return math.pi * sum(w.real * math.exp(-abs(x))
-                             for w, x in kernel.atoms)
-    w, m = kernel.tab_omega, kernel.tab_values
-    s = np.diff(m) / np.diff(w)
-    return float(np.sum((m[:-1] - s * w[:-1]) * np.diff(np.arctan(w))
-                        + 0.5 * s * np.diff(np.log1p(w**2))))
-
-
 @dataclass(frozen=True)
 class StateConstants:
     """Initial-state regularity constants entering the regularization bound.
@@ -431,11 +409,11 @@ class StateConstants:
 
         c_mu = sqrt(N_{1,1}) ||(1+w^2)^-1 mu_hat||_1^(1/2) and the same
         integral enters c_reg with N_{1,2}; the integral is taken in closed
-        form (`_weighted_density_integral`).
+        form (`kernels.weighted_density_integral`).
         """
         c_mu, c_reg = [], []
         for kernel, n1, n2 in zip(kernels, n1_1, n1_2):
-            integral = _weighted_density_integral(kernel)
+            integral = weighted_density_integral(kernel)
             c_mu.append(math.sqrt(n1 * integral))
             c_reg.append(math.sqrt(n2 * integral))
         return cls(np.array(c_mu), np.array(c_reg))

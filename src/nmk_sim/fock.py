@@ -258,13 +258,6 @@ class TruncatedSpace:
         parts = tuple(digits) + tuple(_rank(occ, self.cap))
         return int(np.ravel_multi_index(parts, self._radix))
 
-    def bath_occupancy_sums(self, bath: int):
-        """Total occupation of one bath for every basis index (vectorized)."""
-        block_sums = self.table.sum(axis=1)
-        idx = np.arange(self.dimension)
-        shift = self.block_size ** (self.baths - 1 - bath)
-        return block_sums[(idx // shift) % self.block_size]
-
     def vacuum_index(self, digits) -> int:
         return self.labels_to_index(digits, [(0,) * self.modes] * self.baths)
 

@@ -76,8 +76,10 @@ class MemoryKernel:
             if grid.ndim != 1 or grid.shape != vals.shape or grid.size < 2:
                 raise ValueError("tabulated kernel needs matching 1-d grids")
             steps = np.diff(grid)
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-                raise ValueError("tabulated kernel grid must be uniform")
+            if not (steps[0] > 0
+                    and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
+                raise ValueError("tabulated kernel grid must be uniform and "
+                                 "strictly increasing")
             if np.any(vals < 0):
                 raise ValueError("tabulated spectral density must be nonnegative")
             object.__setattr__(self, "tab_omega", grid)
@@ -198,6 +200,28 @@ def total_variation(kernel: MemoryKernel, interval) -> float:
             f"total-variation quadrature error {err:.2e} on [{a}, {b}]"
         )
     return float(val)
+
+
+def weighted_density_integral(kernel: MemoryKernel) -> float:
+    """Exact int mu_hat(w) / (1 + w^2) dw over the real line.
+
+    Lorentzian terms alpha / ((w - w0)^2 + gamma^2) give
+    alpha pi (gamma + 1) / (gamma (w0^2 + (gamma + 1)^2)); a delta atom
+    a exp(-i w x) gives pi Re(a) exp(-|x|); a tabulated density, linear
+    m + s (w - w_k) on each grid segment and zero outside, gives
+    (m - s w_k) (atan w_{k+1} - atan w_k)
+    + (s / 2) (log1p(w_{k+1}^2) - log1p(w_k^2)) per segment.
+    """
+    if kernel.kind == LORENTZIAN_SUM:
+        return sum(a * math.pi * (g + 1.0) / (g * (w0**2 + (g + 1.0) ** 2))
+                   for a, w0, g in kernel.lorentzians)
+    if kernel.kind == DELTA_TRAIN:
+        return math.pi * sum(w.real * math.exp(-abs(x))
+                             for w, x in kernel.atoms)
+    w, m = kernel.tab_omega, kernel.tab_values
+    s = np.diff(m) / np.diff(w)
+    return float(np.sum((m[:-1] - s * w[:-1]) * np.diff(np.arctan(w))
+                        + 0.5 * s * np.diff(np.log1p(w**2))))
 
 
 def error_functions(kernel: MemoryKernel, interval, eps: float):

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import expm_multiply
 
-from .dynamics import (StepControl, Trajectory, _collect, _propagate_const,
-                       output_times)
+from .dynamics import Trajectory, _collect, _propagate_const, output_times
 from .errors import ShapeMismatch, StepControlFailure
 from .fock import SystemModel, TruncatedSpace, build_hamiltonian_parts
 from .kernels import RegularizedCoupling
@@ -62,16 +61,15 @@ def _star_hamiltonian(model: SystemModel, stars, space: TruncatedSpace):
 
 
 def star_evolve(model: SystemModel, stars, space: TruncatedSpace, psi0,
-                t_final: float, dt_control: StepControl | None = None,
+                t_final: float, out_step: float = 0.05,
                 keep_states: bool = False) -> Trajectory:
     """Unitary trajectory on the star-geometry truncated space, recorded on
     `output_times` like the chain's, so the two pair up row by row."""
-    ctl = dt_control or StepControl()
     h = _star_hamiltonian(model, list(stars), space)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (space.dimension,):
         raise ShapeMismatch("initial state has wrong dimension")
-    times = output_times(t_final, ctl.out_step)
+    times = output_times(t_final, out_step)
     states = _propagate_const(h, psi0, times)
     return _collect(space, times, states, keep_states, oracle=True)
 

@@ -19,7 +19,6 @@ from nmk_sim.chain import (
     star_to_chain,
 )
 from nmk_sim.dynamics import (
-    StepControl,
     evolve,
     trace_distance,
     truncation_certificate,
@@ -169,19 +168,19 @@ def test_criterion_5_unitarity_and_state_sanity(capfd, lorentzian_setup):
     model = _qubit(hs=0.5 * SIGMA_Z, jump=SIGMA_X)
     space = enumerate_basis(1, 2, 1, 8, 2)
     trajs.append(evolve(model, [coeffs], space, _vacuum(space), 2.0,
-                        StepControl(out_step=0.1)))
+                        out_step=0.1))
 
     star = StarDiscretization.from_coupling(lor, 3.0, 32)
     sspace = enumerate_basis(1, 2, 1, 32, 1)
     trajs.append(star_evolve(_qubit(hs=0.5 * SIGMA_Z), [star], sspace,
-                             _vacuum(sspace), 2.0, StepControl(out_step=0.1)))
+                             _vacuum(sspace), 2.0, out_step=0.1))
 
     driven = _qubit(hs=0.4 * SIGMA_X, jump=SIGMA_MINUS,
                     profile=TimeProfile("cos", 2.0))
     dspace = enumerate_basis(1, 2, 1, 4, 2)
     dchain = star_to_chain(lor, 3.0, 4)
     trajs.append(evolve(driven, [dchain], dspace, _vacuum(dspace), 2.0,
-                        StepControl(out_step=0.2)))
+                        out_step=0.2))
 
     ok = True
     for traj in trajs:
@@ -203,7 +202,7 @@ def test_criterion_6_moment_bound(capfd):
     model = _qubit(jump=SIGMA_X)
     space = enumerate_basis(1, 2, 1, 12, 4)
     traj = evolve(model, [base], space, _vacuum(space), 4.0,
-                  StepControl(out_step=0.1))
+                  out_step=0.1)
     traj.validate()
     ell = 0.5
     bound = 2.0 * ell**2 * traj.times**2
@@ -225,7 +224,7 @@ def test_criterion_7_truncation_dominance(capfd):
     for cap in (1, 2, 3, 4, 5):
         space = enumerate_basis(1, 2, 1, 10, cap)
         traj = evolve(model, [base], space, _vacuum(space), t_final,
-                      StepControl(out_step=0.5), keep_states=True)
+                      out_step=0.5, keep_states=True)
         finals[cap] = (space, traj.states[-1])
     ok = True
     gaps = []
@@ -255,13 +254,13 @@ def test_criterion_8_oracle_equivalence(capfd, lorentzian_setup):
     coeffs = star_to_chain(lor, omega_c, 8)
     cspace = enumerate_basis(1, 2, 1, 8, 2)
     chain_traj = evolve(model, [coeffs], cspace, _vacuum(cspace), t_final,
-                        StepControl(out_step=0.05))
+                        out_step=0.05)
     chain_traj.validate()
 
     star = StarDiscretization.from_coupling(lor, omega_c, 64)
     sspace = enumerate_basis(1, 2, 1, 64, 2)
     star_traj = star_evolve(model, [star], sspace, _vacuum(sspace), t_final,
-                            StepControl(out_step=0.05))
+                            out_step=0.05)
     star_traj.validate()
 
     dists = [trace_distance(a, b)
@@ -289,7 +288,7 @@ def test_criterion_9_markovian_limit(capfd):
         coeffs = star_to_chain(coupling, omega_c, int(4 * omega_c))
         space = enumerate_basis(1, 2, 1, int(4 * omega_c), 1)
         traj = evolve(model, [coeffs], space, _vacuum(space), 2.0,
-                      StepControl(out_step=0.05))
+                      out_step=0.05)
         traj.validate()
         devs.append(float(np.max(np.abs(traj.rho_ee() - oracle))))
     r1, r2 = devs[1] / devs[0], devs[2] / devs[1]
@@ -313,7 +312,7 @@ def test_criterion_10_mollifier_independence(capfd):
         coeffs = star_to_chain(coupling, omega_c, modes)
         space = enumerate_basis(1, 2, 1, modes, 1)
         return evolve(model, [coeffs], space, _vacuum(space), 1.0,
-                      StepControl(out_step=0.1))
+                      out_step=0.1)
 
     dists = []
     for eps in (0.2, 0.1, 0.05):
@@ -345,11 +344,11 @@ def test_criterion_11_delta_train_feedback(capfd):
     coeffs = star_to_chain(coupling, omega_c, modes)
     cspace = enumerate_basis(1, 2, 1, modes, 1)
     chain_traj = evolve(model, [coeffs], cspace, _vacuum(cspace), 2.0,
-                        StepControl(out_step=0.05))
+                        out_step=0.05)
     star = StarDiscretization.from_coupling(coupling, omega_c, star_modes)
     sspace = enumerate_basis(1, 2, 1, star_modes, 1)
     star_traj = star_evolve(model, [star], sspace, _vacuum(sspace), 2.0,
-                            StepControl(out_step=0.05))
+                            out_step=0.05)
 
     worst = max(trace_distance(a, b)
                 for a, b in zip(chain_traj.rho_s, star_traj.rho_s))

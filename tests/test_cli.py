@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -113,6 +114,24 @@ def test_malformed_json_is_exit_two(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config-missing", "config-is-directory",
+                                  "out-is-file"])
+def test_unusable_config_or_out_path_is_exit_two(tmp_path, capsys, case):
+    config = _write(tmp_path, _base_doc())
+    out = tmp_path / "o"
+    if case == "config-missing":
+        config = str(tmp_path / "missing.json")
+    elif case == "config-is-directory":
+        config = str(tmp_path)
+    else:
+        out.write_text("")
+    code = cli.main(["simulate", "--config", config, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (str(out) if case == "out-is-file" else config) in err
+    assert "Traceback" not in err
+
+
 def test_numerical_failure_is_exit_three(tmp_path, capsys):
     doc = _base_doc()
     doc["baths"][0]["kernel"] = {
@@ -128,6 +147,23 @@ def test_numerical_failure_is_exit_three(tmp_path, capsys):
 def test_kernel_error_is_exit_two(tmp_path, capsys):
     doc = _shipped("feedback-delay.json")
     doc["baths"][0]["kernel"]["atoms"][0]["location"] = 0.5
+    path = _write(tmp_path, doc)
+    code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "at baths/0/kernel" in err and "strictly increasing" in err
+
+
+@pytest.mark.parametrize("start, stop", [(5.0, -5.0), (1.0, 1.0)],
+                         ids=["reversed", "zero-step"])
+def test_tabulated_grid_not_increasing_is_exit_two(tmp_path, capsys, start,
+                                                   stop):
+    # np.interp reads a density tabulated on such a grid as 0
+    doc = _base_doc()
+    doc["baths"][0]["kernel"] = {
+        "kind": "tabulated",
+        "grid": {"start": start, "stop": stop, "values": [1.0] * 65},
+    }
     path = _write(tmp_path, doc)
     code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 2
@@ -562,6 +598,48 @@ def test_sweep_grid_rows(tmp_path):
         for kind in ("truncation", "cutoff", "chain"):
             assert float(vals[idx[f"cert_{kind}"]]) >= \
                 float(vals[idx[f"meas_{kind}"]]) - 1e-12
+
+
+class _RecordingPool:
+    """Runs a sweep's points in process, recording each pool's worker count
+    instead of starting workers."""
+
+    def __init__(self, max_workers, sizes):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, pools", [(500, [3]), (2, [2]), (1, [])])
+def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch,
+                                                     jobs, pools):
+    sizes = []
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(_RecordingPool, sizes=sizes))
+    doc = _base_doc(mode="sweep", modes=2)
+    doc["sweep"] = {"modes": [2, 3, 4]}
+    assert cli.main(["sweep", "--config", _write(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), "--jobs", str(jobs)]) == 0
+    assert sizes == pools
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_is_exit_two(tmp_path, capsys, jobs):
+    doc = _base_doc(mode="sweep")
+    doc["sweep"] = {"modes": [4, 6]}
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", _write(tmp_path, doc),
+                     "--out", str(out), "--jobs", str(jobs)])
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_regularizes_once_per_epsilon(tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from nmk_sim.chain import ChainCoefficients, star_to_chain
 from nmk_sim.dynamics import (
     ErrorBudget,
     StateConstants,
-    StepControl,
     apriori_mu1,
     assemble_error_budget,
     chain_error_bound,
@@ -52,7 +51,7 @@ def test_zero_hamiltonian_is_identity():
     zero = ChainCoefficients(np.zeros(2), np.zeros(1), 0.0, 1.0, 2)
     space = enumerate_basis(1, 2, 1, 2, 2)
     psi0 = _vacuum_start(space)
-    traj = evolve(model, [zero], space, psi0, 1.0, StepControl(out_step=0.25),
+    traj = evolve(model, [zero], space, psi0, 1.0, out_step=0.25,
                   keep_states=True)
     assert max(np.linalg.norm(s - psi0) for s in traj.states) == 0.0
 
@@ -62,7 +61,7 @@ def test_bloch_precession():
     zero = ChainCoefficients(np.zeros(1), np.zeros(0), 0.0, 1.0, 1)
     space = enumerate_basis(1, 2, 1, 1, 1)
     psi0 = _vacuum_start(space, (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)))
-    traj = evolve(model, [zero], space, psi0, 6.0, StepControl(out_step=0.1))
+    traj = evolve(model, [zero], space, psi0, 6.0, out_step=0.1)
     mx = np.array([np.trace(r @ SIGMA_X).real for r in traj.rho_s])
     assert np.max(np.abs(mx - np.cos(traj.times))) < 1e-12
 
@@ -73,7 +72,7 @@ def test_jaynes_cummings_population():
     coeffs = ChainCoefficients(np.array([w0]), np.zeros(0), g, 2.0, 1)
     space = enumerate_basis(1, 2, 1, 1, 2)
     psi0 = _vacuum_start(space)
-    traj = evolve(model, [coeffs], space, psi0, 4.0, StepControl(out_step=0.05))
+    traj = evolve(model, [coeffs], space, psi0, 4.0, out_step=0.05)
     assert np.max(np.abs(traj.rho_ee() - np.cos(g * traj.times) ** 2)) < 1e-10
     traj.validate()
 
@@ -84,10 +83,10 @@ def test_krylov_path_matches_eigendecomposition(monkeypatch):
                                np.array([0.4, 0.5]), 0.6, 1.0, 3)
     space = enumerate_basis(1, 2, 1, 3, 2)
     psi0 = _vacuum_start(space)
-    dense = evolve(model, [coeffs], space, psi0, 2.0, StepControl(out_step=0.5),
+    dense = evolve(model, [coeffs], space, psi0, 2.0, out_step=0.5,
                    keep_states=True)
     monkeypatch.setattr(dyn, "DENSE_EIG_DIM", 0)
-    krylov = evolve(model, [coeffs], space, psi0, 2.0, StepControl(out_step=0.5),
+    krylov = evolve(model, [coeffs], space, psi0, 2.0, out_step=0.5,
                     keep_states=True)
     gap = max(np.linalg.norm(a - b)
               for a, b in zip(dense.states, krylov.states))
@@ -102,7 +101,7 @@ def test_long_desk_chain_takes_dense_eigh(eigh_calls, lorentzian_coupling):
     space = enumerate_basis(1, 2, 1, 8, 3)
     assert space.dimension >= 300
     evolve(model, [chain], space, _vacuum_start(space), 20.0,
-           StepControl(out_step=0.05)).validate()
+           out_step=0.05).validate()
     assert eigh_calls == [space.dimension]
 
 
@@ -118,11 +117,11 @@ def test_dense_eigh_never_above_ceiling(monkeypatch, eigh_calls,
     space = enumerate_basis(1, 2, 1, 8, 2)
     assert space.dimension == 90
     evolve(model, [star_to_chain(lorentzian_coupling, 3.0, 8)], space,
-           _vacuum_start(space), 0.5, StepControl(out_step=0.25))
+           _vacuum_start(space), 0.5, out_step=0.25)
     assert len(eigh_calls) == expected
 
 
-def test_time_dependent_matches_commuting_closed_form():
+def test_time_dependent_matches_commuting_closed_form(monkeypatch):
     # H(t) = cos(nu t) sigma_x / 2 commutes with itself at all times:
     # P_e(t) = cos^2(sin(nu t) / (2 nu)).
     nu = 1.7
@@ -130,8 +129,8 @@ def test_time_dependent_matches_commuting_closed_form():
     zero = ChainCoefficients(np.zeros(1), np.zeros(0), 0.0, 1.0, 1)
     space = enumerate_basis(1, 2, 1, 1, 1)
     psi0 = _vacuum_start(space)
-    traj = evolve(model, [zero], space, psi0, 3.0,
-                  StepControl(out_step=0.25, tol=1e-10))
+    monkeypatch.setattr(dyn, "CF4_TOL", 1e-10)
+    traj = evolve(model, [zero], space, psi0, 3.0, out_step=0.25)
     expected = np.cos(np.sin(nu * traj.times) / (2.0 * nu)) ** 2
     assert np.max(np.abs(traj.rho_ee() - expected)) < 1e-9
     traj.validate()
@@ -144,10 +143,9 @@ def test_dense_and_krylov_cf4_agree(monkeypatch, lorentzian_coupling):
     space = enumerate_basis(1, 2, 1, 4, 2)
     assert space.dimension <= dyn.DENSE_EXPM_DIM
     psi0 = _vacuum_start(space)
-    ctl = StepControl(out_step=0.2)
-    dense = evolve(model, [chain], space, psi0, 0.4, ctl)
+    dense = evolve(model, [chain], space, psi0, 0.4, out_step=0.2)
     monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", 0)
-    krylov = evolve(model, [chain], space, psi0, 0.4, ctl)
+    krylov = evolve(model, [chain], space, psi0, 0.4, out_step=0.2)
     for name in ("rho_s", "mu1", "norms"):
         gap = np.max(np.abs(getattr(dense, name) - getattr(krylov, name)))
         assert gap < 1e-12, name
@@ -157,13 +155,14 @@ def test_dense_and_krylov_cf4_agree(monkeypatch, lorentzian_coupling):
                          ids=["dense", "krylov"])
 def test_step_control_failure(monkeypatch, dense_dim):
     monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", dense_dim)
+    monkeypatch.setattr(dyn, "CF4_TOL", 1e-18)
+    monkeypatch.setattr(dyn, "CF4_MAX_HALVINGS", 2)
     model = _qubit_model(hs=0.5 * SIGMA_X, profile=TimeProfile("cos", 2.0))
     zero = ChainCoefficients(np.zeros(1), np.zeros(0), 0.0, 1.0, 1)
     space = enumerate_basis(1, 2, 1, 1, 1)
     psi0 = _vacuum_start(space)
     with pytest.raises(StepControlFailure):
-        evolve(model, [zero], space, psi0, 1.0,
-               StepControl(out_step=1.0, tol=1e-18, max_halvings=2))
+        evolve(model, [zero], space, psi0, 1.0, out_step=1.0)
 
 
 @pytest.mark.parametrize("rho", [
@@ -196,7 +195,7 @@ def test_trajectory_state_sanity():
                                0.5, 1.0, 2)
     space = enumerate_basis(1, 2, 1, 2, 3)
     psi0 = _vacuum_start(space)
-    traj = evolve(model, [coeffs], space, psi0, 3.0, StepControl(out_step=0.1))
+    traj = evolve(model, [coeffs], space, psi0, 3.0, out_step=0.1)
     traj.validate()
     assert traj.norm_drift < 1e-8
     for rho in traj.rho_s:
@@ -222,13 +221,49 @@ def test_measure_moments_examples():
     assert (mu1[0], mu2[0]) == (pytest.approx(1.0), pytest.approx(2.0))
 
 
+def test_stacked_moments_match_per_basis_state_sums():
+    # reference: each bath's occupation read off every basis label
+    space = enumerate_basis(1, 2, 2, 2, 2)
+    rng = np.random.default_rng(7)
+    psi = (rng.normal(size=(3, space.dimension))
+           + 1j * rng.normal(size=(3, space.dimension)))
+    counts = np.array([[sum(occ) for occ in space.index_to_labels(i)[1]]
+                       for i in range(space.dimension)], dtype=float)
+    prob = np.abs(psi) ** 2
+    mu1, mu2 = measure_moments(space, psi)
+    np.testing.assert_allclose(mu1, prob @ counts, rtol=1e-13)
+    np.testing.assert_allclose(mu2, prob @ counts**2, rtol=1e-13)
+    one = measure_moments(space, psi[1])
+    np.testing.assert_allclose(one[0], mu1[1], rtol=1e-15)
+    np.testing.assert_allclose(one[1], mu2[1], rtol=1e-15)
+
+
+def test_stacked_observables_match_per_state(lorentzian_coupling):
+    model = _qubit_model(hs=0.5 * SIGMA_Z, jump=SIGMA_X)
+    space = enumerate_basis(1, 2, 1, 4, 2)
+    chain = star_to_chain(lorentzian_coupling, 3.0, 4)
+    traj = evolve(model, [chain], space, _vacuum_start(space), 1.0,
+                  out_step=0.25, keep_states=True)
+    assert traj.states.shape == (5, space.dimension)
+    for k, psi in enumerate(traj.states):
+        mat = psi.reshape(space.sys_dim, space.env_dim)
+        assert np.array_equal(traj.rho_s[k], mat @ mat.conj().T)
+        assert traj.norms[k] == pytest.approx(np.linalg.norm(psi), rel=1e-15)
+    other = traj.rho_s[::-1]
+    dists = trace_distance(traj.rho_s, other)
+    assert dists.shape == (5,)
+    for k in range(5):
+        assert dists[k] == trace_distance(traj.rho_s[k], other[k])
+    assert isinstance(trace_distance(traj.rho_s[0], other[0]), float)
+
+
 def test_measured_moments_below_apriori(flat_coupling):
     coeffs = star_to_chain(flat_coupling, 1.0, 6)
     scaled = ChainCoefficients(coeffs.onsite, coeffs.hopping, 0.5, 1.0, 6)
     model = _qubit_model(jump=SIGMA_X)
     space = enumerate_basis(1, 2, 1, 6, 3)
     psi0 = _vacuum_start(space)
-    traj = evolve(model, [scaled], space, psi0, 4.0, StepControl(out_step=0.1))
+    traj = evolve(model, [scaled], space, psi0, 4.0, out_step=0.1)
     g = 0.5  # ||v|| ||L||
     assert np.all(traj.mu1[:, 0] <= apriori_mu1(g, traj.times) + 1e-10)
 
@@ -262,7 +297,7 @@ def test_certificate_dominates_cap_refinement(flat_coupling):
         space = enumerate_basis(1, 2, 1, 4, cap)
         psi0 = _vacuum_start(space)
         traj = evolve(model, [scaled], space, psi0, t_final,
-                      StepControl(out_step=0.5), keep_states=True)
+                      out_step=0.5, keep_states=True)
         states[cap] = (space, traj.states[-1])
     small_space, small = states[1]
     big_space, big = states[3]
@@ -297,7 +332,7 @@ def test_cutoff_bound_dominates_measured(lorentzian_coupling):
         space = enumerate_basis(1, 2, 1, 10, 2)
         psi0 = _vacuum_start(space)
         traj = evolve(model, [coeffs], space, psi0, t_final,
-                      StepControl(out_step=0.25))
+                      out_step=0.25)
         rhos[wc] = traj.rho_s
     measured = max(trace_distance(a, b) for a, b in zip(rhos[2.0], rhos[4.0]))
     cert = cutoff_error_bound([1.0], [lorentzian_coupling], 2.0, t_final)
@@ -335,7 +370,7 @@ def test_chain_bound_dominates_measured(flat_coupling):
         space = enumerate_basis(1, 2, 1, modes, 2)
         psi0 = _vacuum_start(space)
         traj = evolve(model, [coeffs], space, psi0, t_final,
-                      StepControl(out_step=0.25))
+                      out_step=0.25)
         rhos[modes] = traj.rho_s
     measured = max(trace_distance(a, b) for a, b in zip(rhos[4], rhos[12]))
     coeffs4 = star_to_chain(unit, 1.0, 4)

@@ -35,6 +35,13 @@ def test_tabulated_flat_interpolates():
     assert ker.eval_spectral_density(kernel, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("grid", [np.linspace(1, -1, 41), np.ones(41)],
+                         ids=["reversed", "zero-step"])
+def test_tabulated_grid_must_increase(grid):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ker.MemoryKernel.tabulated(grid, np.ones(41))
+
+
 def test_asymmetric_train_rejected():
     kernel = ker.MemoryKernel.delta_train([(1.0, 0.5)])
     with pytest.raises(NonPositiveDensity):

@@ -6,7 +6,7 @@ import pytest
 from nmk_sim import dynamics as dyn
 from nmk_sim import kernels as ker
 from nmk_sim.chain import star_to_chain
-from nmk_sim.dynamics import StepControl, evolve, trace_distance
+from nmk_sim.dynamics import evolve, trace_distance
 from nmk_sim.errors import ShapeMismatch, StepControlFailure
 from nmk_sim.fock import (
     InitialEnvState,
@@ -38,7 +38,7 @@ def test_star_zero_coupling_precesses():
     space = enumerate_basis(1, 2, 1, 1, 1)
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     psi0, _ = assemble_initial_state(space, plus, [InitialEnvState()])
-    traj = star_evolve(model, [star], space, psi0, 4.0, StepControl(out_step=0.1))
+    traj = star_evolve(model, [star], space, psi0, 4.0, out_step=0.1)
     mx = np.array([np.trace(r @ SIGMA_X).real for r in traj.rho_s])
     assert np.max(np.abs(mx - np.cos(traj.times))) < 1e-10
     assert traj.oracle
@@ -51,7 +51,7 @@ def test_star_single_mode_is_jaynes_cummings():
     space = enumerate_basis(1, 2, 1, 1, 2)
     psi0, _ = assemble_initial_state(space, np.array([1.0, 0.0]),
                                      [InitialEnvState()])
-    traj = star_evolve(model, [star], space, psi0, 4.0, StepControl(out_step=0.2))
+    traj = star_evolve(model, [star], space, psi0, 4.0, out_step=0.2)
     assert np.max(np.abs(traj.rho_ee() - np.cos(g * traj.times) ** 2)) < 1e-10
 
 
@@ -83,11 +83,12 @@ def test_large_star_takes_krylov(monkeypatch, eigh_calls, lorentzian_coupling):
     space = enumerate_basis(1, 2, 1, 256, 1)
     psi0, _ = assemble_initial_state(space, np.array([1.0, 0.0]),
                                      [InitialEnvState()])
-    ctl = StepControl(out_step=0.05)
-    krylov = star_evolve(model, [star], space, psi0, 2.0, ctl, keep_states=True)
+    krylov = star_evolve(model, [star], space, psi0, 2.0, out_step=0.05,
+                         keep_states=True)
     assert eigh_calls == []
     monkeypatch.setattr(dyn, "KRYLOV_COST_RATIO", math.inf)
-    dense = star_evolve(model, [star], space, psi0, 2.0, ctl, keep_states=True)
+    dense = star_evolve(model, [star], space, psi0, 2.0, out_step=0.05,
+                        keep_states=True)
     assert eigh_calls == [514]
     assert max(np.linalg.norm(a - b)
                for a, b in zip(krylov.states, dense.states)) < 1e-12
@@ -104,14 +105,14 @@ def test_star_vs_chain_converge(lorentzian_coupling):
         psi0, _ = assemble_initial_state(space, np.array([1.0, 0.0]),
                                          [InitialEnvState()])
         chain_traj = evolve(model, [coeffs], space, psi0, t_final,
-                            StepControl(out_step=0.2))
+                            out_step=0.2)
         star = StarDiscretization.from_coupling(lorentzian_coupling, omega_c,
                                                 star_modes)
         sspace = enumerate_basis(1, 2, 1, star_modes, 1)
         spsi0, _ = assemble_initial_state(sspace, np.array([1.0, 0.0]),
                                           [InitialEnvState()])
         star_traj = star_evolve(model, [star], sspace, spsi0, t_final,
-                                StepControl(out_step=0.2))
+                                out_step=0.2)
         gaps.append(max(trace_distance(a, b)
                         for a, b in zip(chain_traj.rho_s, star_traj.rho_s)))
     assert gaps[0] > gaps[1] > gaps[2]
