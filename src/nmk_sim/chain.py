@@ -10,6 +10,7 @@ hoppings; its spectral decomposition yields nodes and weights.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,20 +96,35 @@ class ChainCoefficients:
                    float(doc["v_norm"]), float(doc["omega_c"]), len(onsite))
 
 
+# coupling -> {(omega_c, n_panels): (nodes, weights)}; an entry lives as
+# long as its coupling
+_PANEL_LEVELS = weakref.WeakKeyDictionary()
+
+
 def _discretize(coupling, omega_c, n_panels):
     """Composite Gauss-Legendre discretization of the weight on the cutoff.
 
     Panel edges are Chebyshev-spaced so endpoint behaviour of the weight is
-    resolved without wasting nodes in the interior.
+    resolved without wasting nodes in the interior.  Each level is built
+    once per coupling object and returned read-only: a map of N modes
+    refines from max(8 N, 32) panels by doubling, so maps of N and 2N modes
+    share a level.
     """
-    edges = -omega_c * np.cos(np.linspace(0.0, math.pi, n_panels + 1))
-    xg, wg = leggauss(_PANEL_NODES)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    lam = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    wts = (half[:, None] * wg[None, :]).ravel()
-    weight = np.maximum(np.asarray(coupling.weight(lam), dtype=float), 0.0)
-    return lam, wts * weight
+    levels = _PANEL_LEVELS.setdefault(coupling, {})
+    key = (float(omega_c), int(n_panels))
+    if key not in levels:
+        edges = -omega_c * np.cos(np.linspace(0.0, math.pi, n_panels + 1))
+        xg, wg = leggauss(_PANEL_NODES)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        lam = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+        wts = (half[:, None] * wg[None, :]).ravel()
+        weight = np.maximum(np.asarray(coupling.weight(lam), dtype=float), 0.0)
+        wts = wts * weight
+        lam.flags.writeable = False
+        wts.flags.writeable = False
+        levels[key] = lam, wts
+    return levels[key]
 
 
 def _lanczos_jacobi(lam, wts, n, scale):

@@ -179,10 +179,14 @@ class ExperimentConfig:
     @classmethod
     def from_path(cls, path) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaViolation(f"at line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaViolation(
+                f"at --config: {path} is not UTF-8 text "
+                f"(byte {exc.start}: {exc.reason})") from exc
         except OSError as exc:
             raise SchemaViolation(
                 f"at --config: cannot read {path}: {exc.strerror}") from exc

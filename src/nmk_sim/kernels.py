@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import legder, legval
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import (
     EpsilonTooLarge,
@@ -344,11 +345,35 @@ STANDARD_BUMP = "standard_bump"
 BUMP_SQUARED = "bump_squared"
 
 _GL_ORDER = 384
+_HALF = _GL_ORDER // 2      # the rule's positive nodes are x[_HALF:]
 
 
 @lru_cache(maxsize=8)
 def _gl_rule(order):
-    x, w = leggauss(order)
+    """Gauss-Legendre nodes and weights on [-1, 1], as numpy's ``leggauss``.
+
+    ``leggauss`` takes its first roots from a dense ``eigvalsh`` of the
+    Legendre companion matrix, which is the symmetric tridiagonal Jacobi
+    matrix; ``eigvalsh_tridiagonal`` finds them in half the time.  Newton
+    step, weights and symmetrization are ``leggauss``'s own, and the rule
+    matches it bit for bit (tests check order 384), so the rule is exactly
+    symmetric: x[::-1] == -x and w[::-1] == w.
+    """
+    c = np.zeros(order + 1)
+    c[-1] = 1.0
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    x = eigvalsh_tridiagonal(np.zeros(order),
+                             np.arange(1, order) * scl[:-1] * scl[1:])
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
     return x, w
 
 
@@ -369,6 +394,14 @@ def _bump_norm(family):
     return float(np.sum(w * _bump_profile(family, x)))
 
 
+@lru_cache(maxsize=8)
+def _weighted_density(family):
+    """w_j rho(x_j) on the rule: rho_hat(k) is sum_j w_j rho(x_j) cos(k x_j)
+    over sqrt(2 pi)."""
+    x, w = _gl_rule(_GL_ORDER)
+    return w * (_bump_profile(family, x) / _bump_norm(family))
+
+
 @dataclass(frozen=True)
 class Mollifier:
     """Smooth symmetric unit-mass bump supported on [-1, 1], at scale eps."""
@@ -387,12 +420,64 @@ class Mollifier:
         return _bump_profile(self.family, x) / _bump_norm(self.family)
 
     def fourier(self, k):
-        """rho_hat(k); real since rho is symmetric."""
+        """rho_hat(k) at any k; real since rho is symmetric.
+
+        One cosine table over the rule, with the cosines taken on the
+        positive nodes only: the rule is exactly symmetric and cos is even,
+        so the negative-node half is the positive half mirrored, and the
+        table and its one matrix-vector product keep the bits of the full
+        table.  (Splitting the product into row chunks would not: the BLAS
+        matrix-vector kernel groups rows.)  ``regularize`` samples its
+        uniform grid with `_fourier_on_grid` instead.
+        """
         k = np.asarray(k, dtype=float)
-        x, w = _gl_rule(_GL_ORDER)
-        rho = self.density(x)
-        vals = np.cos(np.multiply.outer(k, x)) @ (w * rho) / math.sqrt(2.0 * math.pi)
+        x, _ = _gl_rule(_GL_ORDER)
+        table = np.empty(k.shape + x.shape)
+        pos = table[..., _HALF:]
+        np.multiply.outer(k, x[_HALF:], out=pos)
+        np.cos(pos, out=pos)
+        table[..., :_HALF] = pos[..., ::-1]
+        vals = table @ _weighted_density(self.family) / math.sqrt(2.0 * math.pi)
         return vals if k.ndim else float(vals)
+
+
+def _fourier_on_grid(mollifier: Mollifier, w):
+    """rho_hat(eps w) on a uniform grid w symmetric about 0, of n points.
+
+    rho_hat is even, so only the n_h = ceil(n / 2) values at k_j = eps |w|
+    on the nonnegative half are computed; there k_j = a_q + b_r with
+    j = q s + r, s = ceil(sqrt n_h), a_q = k_{q s} and b_r = eps h r
+    (h the grid step).  By cos((a + b) x) = cos(a x) cos(b x)
+    - sin(a x) sin(b x) over the positive nodes, the values form a
+    (ceil(n_h / s) x s) table of matrix products of width 192, in place
+    of an (n x 384) cosine table.  Both angles are nonnegative, so their
+    rounding is of the size of the direct sum's.  ``np.linspace`` points
+    are uniform only to within rounding of the grid edge, which at
+    eps Omega = 150 moves rho_hat by 1e-15; the first-order term
+    d rho_hat'(a + b), with d = eps |w_m| - (a + b), puts each value at
+    its own grid point, within 1e-15 of ``Mollifier.fourier``.
+    """
+    n = w.size
+    eps = mollifier.epsilon
+    n_half = (n + 1) // 2
+    s = math.isqrt(n_half - 1) + 1
+    blocks = -(-n_half // s)
+    k = eps * np.abs(w)
+    a = k[n // 2::s]
+    b = (eps * (w[-1] - w[0]) / (n - 1)) * np.arange(s)
+    x, _ = _gl_rule(_GL_ORDER)
+    x = x[_HALF:]
+    c = 2.0 * _weighted_density(mollifier.family)[_HALF:] / math.sqrt(2.0 * math.pi)
+    ax, xb = np.multiply.outer(a, x), np.multiply.outer(x, b)
+    cos_a, sin_a, cos_b, sin_b = np.cos(ax), np.sin(ax), np.cos(xb), np.sin(xb)
+    val = ((cos_a * c) @ cos_b - (sin_a * c) @ sin_b).ravel()[:n_half]
+    der = -((sin_a * (c * x)) @ cos_b + (cos_a * (c * x)) @ sin_b).ravel()[:n_half]
+
+    def mirror(half):     # values on |w| -> values on w
+        return np.concatenate([half[::-1], half[n % 2:]])
+
+    d = (k - mirror(np.repeat(a, s)[:n_half])) - mirror(np.tile(b, blocks)[:n_half])
+    return mirror(val) + d * mirror(der)
 
 
 def mollifier_fourier(mollifier: Mollifier, omega):
@@ -484,7 +569,7 @@ def regularize(kernel: MemoryKernel, mollifier: Mollifier,
         )
     w = np.linspace(-omega_max, omega_max, int(n_points))
     mu = np.asarray(eval_spectral_density(kernel, w), dtype=float)
-    rho = np.asarray(mollifier_fourier(mollifier, w), dtype=float)
+    rho = _fourier_on_grid(mollifier, w)
     vhat = np.sqrt(mu) * rho * np.exp(1j * kernel.phase(w))
     weight = np.abs(vhat) ** 2
     l2 = math.sqrt(float(np.trapezoid(weight, w)))

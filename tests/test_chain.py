@@ -255,3 +255,33 @@ def test_chain_error_needs_stored_measure(flat_coupling):
 def test_bound_overflow_is_inf():
     assert chain.chain_error_bound_value(1.0, 10.0, 200, 1e30) == math.inf
     assert math.isfinite(chain.chain_error_bound_value(1.0, 10.0, 200, 50.0))
+
+
+def test_star_to_chain_reuses_panel_levels(lorentzian_kernel, monkeypatch):
+    # modes 4 refines from 32 panels to 64, modes 8 from 64 to 128: the
+    # shared 64-panel level is discretized once per coupling
+    mol = ker.Mollifier(0.05)
+    coupling = ker.regularize(lorentzian_kernel, mol,
+                              ker.choose_grid(lorentzian_kernel, mol))
+    weight = ker.RegularizedCoupling.weight
+    sizes = []
+
+    def counting(self, omega):
+        sizes.append(np.size(omega))
+        return weight(self, omega)
+
+    monkeypatch.setattr(ker.RegularizedCoupling, "weight", counting)
+    short = star_to_chain(coupling, 3.0, 4)
+    long = star_to_chain(coupling, 3.0, 8)
+    assert sizes == [32 * 12, 64 * 12, 128 * 12]
+    monkeypatch.undo()
+    for modes, got in ((4, short), (8, long)):
+        fresh = star_to_chain(ker.regularize(lorentzian_kernel, mol,
+                                             ker.choose_grid(lorentzian_kernel,
+                                                             mol)),
+                              3.0, modes)
+        assert np.array_equal(got.onsite, fresh.onsite)
+        assert np.array_equal(got.hopping, fresh.hopping)
+        assert got.v_norm == fresh.v_norm
+    lam, wts = long.measure
+    assert not lam.flags.writeable and not wts.flags.writeable

@@ -114,6 +114,18 @@ def test_malformed_json_is_exit_two(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_non_utf8_config_is_exit_two(tmp_path, capsys):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{")
+    out = tmp_path / "o"
+    code = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and str(path) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["config-missing", "config-is-directory",
                                   "out-is-file"])
 def test_unusable_config_or_out_path_is_exit_two(tmp_path, capsys, case):

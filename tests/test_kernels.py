@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from nmk_sim import kernels as ker
@@ -339,6 +341,54 @@ def test_mollifier_fourier_superpolynomial_decay():
     assert ker.mollifier_fourier(mol, 100.0 / 0.01) == pytest.approx(
         2.0082190088e-06, rel=1e-6)
     assert abs(ker.mollifier_fourier(mol, 300.0 / 0.01)) < 1e-8
+
+
+def test_gl_rule_matches_leggauss():
+    x, w = ker._gl_rule(384)
+    ref_x, ref_w = leggauss(384)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+
+@pytest.mark.parametrize("family", [ker.STANDARD_BUMP, ker.BUMP_SQUARED])
+@pytest.mark.parametrize("shape", [(), (1,), (777,), (8193,), (23, 41)],
+                         ids=["0d", "1", "777", "8193", "2d"])
+def test_fourier_keeps_full_table_bits(family, shape):
+    # the mirrored half table must reproduce the full cosine table exactly:
+    # the chain map's nodes, and so chain.json, depend on these bits
+    mol = ker.Mollifier(0.05, family)
+    rng = np.random.default_rng(len(shape) * 10_000 + sum(shape))
+    k = rng.uniform(-200.0, 200.0, shape)
+    x, w = leggauss(384)
+    ref = np.cos(np.multiply.outer(k, x)) @ (w * mol.density(x)) / SQRT_2PI
+    got = mol.fourier(k)
+    assert np.array_equal(got, ref)
+    assert isinstance(got, float) if k.ndim == 0 else got.shape == shape
+
+
+@pytest.mark.parametrize("family", [ker.STANDARD_BUMP, ker.BUMP_SQUARED])
+@pytest.mark.parametrize("eps", [0.02, 0.05])
+@pytest.mark.parametrize("n", [64, 65, 8193])
+def test_fourier_on_grid_matches_direct_sum(family, eps, n):
+    mol = ker.Mollifier(eps, family)
+    for omega_eps in (0.3, 7.0, 31.0, 77.7, 109.0, 150.0):
+        w = np.linspace(-omega_eps / eps, omega_eps / eps, n)
+        got = ker._fourier_on_grid(mol, w)
+        assert np.max(np.abs(got - mol.fourier(eps * w))) <= 2e-15
+
+
+def test_regularize_peak_memory(lorentzian_kernel):
+    # the desk kernel's 8193-point grid once took a 48 MB cosine table
+    mol = ker.Mollifier(0.05)
+    grid = ker.choose_grid(lorentzian_kernel, mol)
+    ker.regularize(lorentzian_kernel, mol, grid)     # warm the rule caches
+    tracemalloc.start()
+    try:
+        ker.regularize(lorentzian_kernel, mol, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid[1] == 8193
+    assert peak < 4e6
 
 
 # -- regularized couplings ----------------------------------------------------
