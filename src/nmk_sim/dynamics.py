@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, expm
+import scipy.sparse as sp
+from scipy.linalg import eigh
 from scipy.sparse.linalg import expm_multiply
 
 from .chain import chain_error_bound_value, chain_error_single
@@ -69,12 +70,22 @@ from .kernels import (
 # in that band.
 DENSE_EIG_DIM = 1400
 KRYLOV_COST_RATIO = 150.0
-# A driven step pays for its dense exponentials every step, not once, so dense
-# `expm` beats Krylov `expm_multiply` only on small spaces: one CF4 step at
-# dim 30 takes 0.3 ms dense against 1.9 ms Krylov, at dim 72 1.7 ms against
-# 2.4 ms, at dim 90 3.0 ms against 1.9 ms and at dim 702 710 ms against
-# 2.7 ms (one BLAS thread, 2-vCPU x86 KVM guest).
-DENSE_EXPM_DIM = 80
+# A driven run keeps its Hamiltonian parts dense at or below DENSE_EXPM_DIM
+# and on one shared CSR pattern above it (`PartStack`).  One CF4 step (two
+# Taylor exponentials of degree 5 at dt = 0.2 / 512, driven desk qubit) takes,
+# dense against CSR, best of 15 x 200 steps with one BLAS thread on a 2-vCPU
+# x86 KVM guest:
+#
+#    dim    nnz    dense      CSR
+#     30     98    33 us     50 us
+#     56    208    48 us     53 us
+#     72    278    65 us     55 us
+#     90    358    76 us     57 us
+#    330   1678  1040 us    110 us
+#
+# A dense product pays dim^2 per matrix-vector product, CSR a fixed call cost
+# of a few microseconds; they cross between 56 and 72.
+DENSE_EXPM_DIM = 64
 # CF4 local-error tolerance per output interval, and the halvings of its
 # substep (from 4) allowed before the controller fails.
 CF4_TOL = 1e-9
@@ -85,12 +96,12 @@ VALIDATE_TOL = 1e-8       # see `Trajectory.validate`
 BOUND_GRID = 257
 
 # Fourth-order commutator-free scheme (Alvermann & Fehske, JCP 230, 5930
-# (2011)): Gauss nodes c1, c2 and the weights of H(t + c dt) in its two
-# exponentials.
+# (2011)): Gauss nodes c1, c2, and in row e the weights of H(t + c1 dt) and
+# H(t + c2 dt) in its exponential e.
 _CF4_C1 = 0.5 - math.sqrt(3.0) / 6.0
 _CF4_C2 = 0.5 + math.sqrt(3.0) / 6.0
-_CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
-_CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
+_CF4_WEIGHTS = 0.25 + math.sqrt(3.0) / 6.0 * np.array([[-1.0, 1.0],
+                                                       [1.0, -1.0]])
 
 
 @dataclass
@@ -159,19 +170,81 @@ def measure_moments(space: TruncatedSpace, psi):
     return mu1.reshape(shape), mu2.reshape(shape)
 
 
-def _expm_apply(a, psi):
-    """exp(a) psi: dense `expm` for arrays, Krylov for sparse matrices."""
-    if isinstance(a, np.ndarray):
-        return expm(a) @ psi
-    return expm_multiply(a, psi)
+class PartStack:
+    """Hamiltonian parts P_0, P_1, ... on one storage layout, for the
+    exponentials exp(sum_k w_k P_k) psi of a driven run.
+
+    At or below `DENSE_EXPM_DIM` each part is a dense (dim, dim) array; above
+    it every part is stored on one CSR pattern, the union of their patterns,
+    with one data row per part.  Either way the stack is (parts, n), and an
+    exponent is one `weights @ stack` product written into the buffer behind
+    the operator.  Every part must be Hermitian: `SystemModel` rejects
+    non-Hermitian system terms and the bath part is Hermitian by
+    construction, so each part's 1-norm, taken once here, bounds its 2-norm.
+    """
+
+    def __init__(self, parts, dense: bool):
+        dim = parts[0].shape[0]
+        self.norms = np.array([float(abs(p).sum(axis=0).max()) for p in parts])
+        if dense:
+            self._stack = np.stack([p.toarray().ravel() for p in parts])
+            self._op = np.empty((dim, dim), dtype=complex)
+            self._buf = self._op.reshape(-1)
+            return
+        coos = [p.tocoo() for p in parts]
+        for c in coos:
+            c.sum_duplicates()
+        keys = [c.row.astype(np.int64) * dim + c.col for c in coos]
+        union = np.unique(np.concatenate(keys))
+        self._stack = np.zeros((len(parts), union.size), dtype=complex)
+        for row, key, c in zip(self._stack, keys, coos):
+            row[np.searchsorted(union, key)] = c.data
+        indptr = np.searchsorted(union // dim, np.arange(dim + 1))
+        self._op = sp.csr_matrix(
+            (np.empty(union.size, dtype=complex), union % dim, indptr),
+            shape=(dim, dim))
+        self._buf = self._op.data
+
+    def expm_apply(self, weights, psi):
+        """exp(A) psi for A = sum_k weights[k] P_k, by a Taylor series on the
+        vector.
+
+        theta = sum_k |w_k| ||P_k||_1 bounds ||A||_2.  The exponential is split
+        into s = ceil(theta) pieces exp(A / s), each summed to the smallest
+        degree m with (theta/s)^(m+1) e^(theta/s) / (m+1)! <= 2^-53, which
+        bounds the truncated tail relative to the piece's input.  A zero
+        exponent returns psi itself; a non-finite theta raises
+        `StepControlFailure`.
+        """
+        theta = float(np.abs(weights) @ self.norms)
+        if not math.isfinite(theta):
+            raise StepControlFailure(f"exponent norm bound is {theta}")
+        if theta == 0.0:
+            return psi
+        np.dot(weights, self._stack, out=self._buf)
+        pieces = math.ceil(theta)
+        x = theta / pieces
+        degree, tail = 0, x * math.exp(x)
+        while tail > 2.0**-53:
+            degree += 1
+            tail *= x / (degree + 1)
+        for _ in range(pieces):
+            term = psi
+            for j in range(1, degree + 1):
+                term = self._op @ term
+                term *= 1.0 / (pieces * j)
+                psi = psi + term
+        return psi
 
 
-def _cf4_step(h_of_t, t, dt, psi):
-    """Fourth-order commutator-free exponential step."""
-    h1 = h_of_t(t + _CF4_C1 * dt)
-    h2 = h_of_t(t + _CF4_C2 * dt)
-    psi = _expm_apply(-1j * dt * (_CF4_A2 * h1 + _CF4_A1 * h2), psi)
-    psi = _expm_apply(-1j * dt * (_CF4_A1 * h1 + _CF4_A2 * h2), psi)
+def _cf4_step(stack, profiles, t, dt, psi):
+    """Fourth-order commutator-free exponential step.  Row e of
+    `_CF4_WEIGHTS` mixes H at the two Gauss nodes into exponential e; the
+    constant part has profile 1."""
+    values = np.array([[1.0] + [f(t + c * dt) for f in profiles]
+                       for c in (_CF4_C1, _CF4_C2)])
+    for weights in (-1j * dt) * (_CF4_WEIGHTS @ values):
+        psi = stack.expm_apply(weights, psi)
     return psi
 
 
@@ -193,11 +266,11 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
     nnz (||H||_1 t_final + output count), and dense never runs above
     `DENSE_EIG_DIM`.  Time-dependent ones use a
     commutator-free fourth-order scheme with step halving until the
-    Richardson estimate meets `CF4_TOL`.  At or below
-    `DENSE_EXPM_DIM` a driven Hamiltonian is converted to dense arrays once
-    and each step takes dense `expm` exponentials; above it the steps stay
-    sparse and use Krylov `expm_multiply`.  States are recorded on
-    `output_times(t_final, out_step)`, the grid the star oracle also uses.
+    Richardson estimate meets `CF4_TOL`; each exponential is a Taylor series
+    on the vector (`PartStack.expm_apply`), with the parts stored dense at
+    or below `DENSE_EXPM_DIM` and on one CSR pattern above it.  States are
+    recorded on `output_times(t_final, out_step)`, the grid the star oracle
+    also uses.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (space.dimension,):
@@ -208,17 +281,9 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
     if not profiled:
         states = _propagate_const(h_const, psi0, times)
     else:
-        if psi0.size <= DENSE_EXPM_DIM:
-            h_const = h_const.toarray()
-            profiled = [(term.toarray(), profile) for term, profile in profiled]
-
-        def h_of_t(t):
-            h = h_const
-            for term, profile in profiled:
-                h = h + profile(t) * term
-            return h
-
-        states = _propagate_cf4(h_of_t, psi0, times)
+        stack = PartStack([h_const] + [term for term, _ in profiled],
+                          dense=psi0.size <= DENSE_EXPM_DIM)
+        states = _propagate_cf4(stack, [f for _, f in profiled], psi0, times)
 
     return _collect(space, times, states, keep_states, oracle=False)
 
@@ -239,30 +304,38 @@ def _propagate_const(h, psi0, times):
                          num=len(times), endpoint=True)
 
 
-def _propagate_cf4(h_of_t, psi0, times):
-    """CF4 states at `times`, one row each: (T, dim)."""
+def _propagate_cf4(stack, profiles, psi0, times):
+    """CF4 states at `times`, one row each: (T, dim).
+
+    Each output interval starts at half the substep count the previous one
+    accepted (at least 4), so a steady run computes one discarded level per
+    interval; the finest level allowed is 4 * 2^(CF4_MAX_HALVINGS - 1).
+    """
     states = np.empty((len(times), psi0.size), dtype=complex)
     states[0] = psi = psi0
+    n_max = 4 << (CF4_MAX_HALVINGS - 1)
+    accepted = 4
     for i, (t0, t1) in enumerate(zip(times[:-1], times[1:])):
-        n_sub = 4
+        n_sub = max(4, accepted // 2)
         prev = None
-        for _ in range(CF4_MAX_HALVINGS):
+        while True:
             cur = psi
             dt = (t1 - t0) / n_sub
             for k in range(n_sub):
-                cur = _cf4_step(h_of_t, t0 + k * dt, dt, cur)
+                cur = _cf4_step(stack, profiles, t0 + k * dt, dt, cur)
             # a unitary step drifts in norm only by rounding, far below tol;
             # Trajectory.validate checks the drift of the whole trajectory
             if (prev is not None
                     and float(np.linalg.norm(cur - prev)) / 15.0 < CF4_TOL):
                 break
+            if n_sub >= n_max:
+                raise StepControlFailure(
+                    f"CF4 controller failed on [{t0}, {t1}] at {n_sub} "
+                    "substeps")
             prev = cur
             n_sub *= 2
-        else:
-            raise StepControlFailure(
-                f"CF4 controller failed on [{t0}, {t1}] at {n_sub} substeps"
-            )
         states[i + 1] = psi = cur
+        accepted = n_sub
     return states
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import expm
 
 from nmk_sim import dynamics as dyn
 from nmk_sim import fock, kernels as ker
@@ -136,23 +138,112 @@ def test_time_dependent_matches_commuting_closed_form(monkeypatch):
     traj.validate()
 
 
-def test_dense_and_krylov_cf4_agree(monkeypatch, lorentzian_coupling):
-    # the driven case of acceptance criterion 5 (dim 30), cut to t = 0.4
+def _driven_qubit(lorentzian_coupling, modes, cap):
+    # the driven case of acceptance criterion 5 at `modes` and `cap`
     model = _qubit_model(hs=0.4 * SIGMA_X, profile=TimeProfile("cos", 2.0))
-    chain = star_to_chain(lorentzian_coupling, 3.0, 4)
-    space = enumerate_basis(1, 2, 1, 4, 2)
+    chain = star_to_chain(lorentzian_coupling, 3.0, modes)
+    space = enumerate_basis(1, 2, 1, modes, cap)
+    return model, [chain], space, _vacuum_start(space)
+
+
+def test_dense_and_sparse_cf4_agree(monkeypatch, lorentzian_coupling):
+    # the driven case of acceptance criterion 5 (dim 30), cut to t = 0.4
+    model, chains, space, psi0 = _driven_qubit(lorentzian_coupling, 4, 2)
     assert space.dimension <= dyn.DENSE_EXPM_DIM
-    psi0 = _vacuum_start(space)
-    dense = evolve(model, [chain], space, psi0, 0.4, out_step=0.2)
+    dense = evolve(model, chains, space, psi0, 0.4, out_step=0.2)
     monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", 0)
-    krylov = evolve(model, [chain], space, psi0, 0.4, out_step=0.2)
+    sparse = evolve(model, chains, space, psi0, 0.4, out_step=0.2)
     for name in ("rho_s", "mu1", "norms"):
-        gap = np.max(np.abs(getattr(dense, name) - getattr(krylov, name)))
+        gap = np.max(np.abs(getattr(dense, name) - getattr(sparse, name)))
         assert gap < 1e-12, name
 
 
+def test_driven_dim_90_run_takes_no_krylov(monkeypatch, lorentzian_coupling):
+    # above DENSE_EXPM_DIM the parts share one CSR pattern and every
+    # exponential is a Taylor series on the vector, as in dense storage
+    def no_krylov(*args, **kwargs):
+        raise AssertionError("expm_multiply called on a driven run")
+
+    model, chains, space, psi0 = _driven_qubit(lorentzian_coupling, 8, 2)
+    assert space.dimension == 90 > dyn.DENSE_EXPM_DIM
+    monkeypatch.setattr(dyn, "expm_multiply", no_krylov)
+    sparse = evolve(model, chains, space, psi0, 0.4, out_step=0.2,
+                    keep_states=True)
+    monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", 100)
+    dense = evolve(model, chains, space, psi0, 0.4, out_step=0.2,
+                   keep_states=True)
+    assert np.max(np.abs(sparse.states - dense.states)) < 1e-12
+
+
+def test_substep_count_carries_across_intervals(monkeypatch,
+                                                lorentzian_coupling):
+    # the first interval accepts 256 substeps, so the second starts at 128
+    # and accepts 512: 508 + 896 steps of two exponentials each, where
+    # restarting every interval at 4 substeps takes 508 + 1020
+    calls = []
+    expm_apply = dyn.PartStack.expm_apply
+
+    def counting(self, weights, psi):
+        calls.append(1)
+        return expm_apply(self, weights, psi)
+
+    monkeypatch.setattr(dyn.PartStack, "expm_apply", counting)
+    model, chains, space, psi0 = _driven_qubit(lorentzian_coupling, 4, 2)
+    evolve(model, chains, space, psi0, 0.4, out_step=0.2).validate()
+    assert len(calls) == 2 * (508 + 896)
+
+
+def _hermitian_parts(rng, dim, count):
+    parts = []
+    for _ in range(count):
+        mat = sp.random(dim, dim, density=0.2, random_state=rng)
+        mat = mat + 1j * sp.random(dim, dim, density=0.2, random_state=rng)
+        parts.append((mat + mat.conj().T).tocsr())
+    return parts
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
+@pytest.mark.parametrize("theta", [0.0, 1e-4, 0.01, 0.5, 3.0, 40.0])
+def test_taylor_exponential_matches_expm(dense, theta):
+    rng = np.random.default_rng(7)
+    parts = _hermitian_parts(rng, 24, 3)
+    stack = dyn.PartStack(parts, dense=dense)
+    weights = -1j * rng.uniform(-1.0, 1.0, 3)
+    weights *= theta / float(np.abs(weights) @ stack.norms)
+    psi = rng.normal(size=24) + 1j * rng.normal(size=24)
+    a = sum(w * p.toarray() for w, p in zip(weights, parts))
+    want = expm(a) @ psi
+    got = stack.expm_apply(weights, psi)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    if theta == 0.0:
+        assert got.tobytes() == psi.tobytes()
+
+
 @pytest.mark.parametrize("dense_dim", [dyn.DENSE_EXPM_DIM, 0],
-                         ids=["dense", "krylov"])
+                         ids=["dense", "csr"])
+def test_nan_part_is_step_control_failure(monkeypatch, dense_dim):
+    # a NaN in a part makes its norm bound NaN; the exponential must fail
+    # as a step-control failure before the piece count is taken from it
+    build = dyn.build_hamiltonian_parts
+
+    def poisoned(*args):
+        h_const, profiled = build(*args)
+        term, profile = profiled[0]
+        term = term.tolil()
+        term[0, 1] = np.nan
+        return h_const, [(term.tocsr(), profile)]
+
+    monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", dense_dim)
+    monkeypatch.setattr(dyn, "build_hamiltonian_parts", poisoned)
+    model = _qubit_model(hs=0.5 * SIGMA_X, profile=TimeProfile("cos", 2.0))
+    zero = ChainCoefficients(np.zeros(1), np.zeros(0), 0.0, 1.0, 1)
+    space = enumerate_basis(1, 2, 1, 1, 1)
+    with pytest.raises(StepControlFailure):
+        evolve(model, [zero], space, _vacuum_start(space), 1.0, out_step=1.0)
+
+
+@pytest.mark.parametrize("dense_dim", [dyn.DENSE_EXPM_DIM, 0],
+                         ids=["dense", "csr"])
 def test_step_control_failure(monkeypatch, dense_dim):
     monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", dense_dim)
     monkeypatch.setattr(dyn, "CF4_TOL", 1e-18)
