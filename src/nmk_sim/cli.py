@@ -215,15 +215,22 @@ def _chains(couplings, omega_c, modes):
 
 
 def _space(cfg, modes, cap):
-    """Enumerated space, refused before assembly if its Hamiltonian is too big."""
+    """Enumerated space, refused before assembly if its Hamiltonian or the
+    (output times, dimension) complex array of its run's states is too big."""
     space = fock.enumerate_basis(cfg.model.n, cfg.model.d, len(cfg.kernels),
                                  modes, cap)
+    cap_mib = fock.HAMILTONIAN_BYTES_CAP / 2**20
     size = fock.hamiltonian_bytes(cfg.model, space)
     if size > fock.HAMILTONIAN_BYTES_CAP:
         raise DimensionOverflow(
             f"Hamiltonian of about {size / 2**20:.0f} MiB at dimension "
-            f"{space.dimension} exceeds cap "
-            f"{fock.HAMILTONIAN_BYTES_CAP / 2**20:.0f} MiB")
+            f"{space.dimension} exceeds cap {cap_mib:.0f} MiB")
+    rows = dyn.output_count(cfg.t_final, cfg.out_step)
+    size = rows * space.dimension * 16
+    if size > fock.HAMILTONIAN_BYTES_CAP:
+        raise DimensionOverflow(
+            f"output states of {size / 2**20:.0f} MiB ({rows} times at "
+            f"dimension {space.dimension}) exceed cap {cap_mib:.0f} MiB")
     return space
 
 

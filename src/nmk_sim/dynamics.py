@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
-from scipy.sparse.linalg import expm_multiply
 
 from .chain import chain_error_bound_value, chain_error_single
 from .errors import (
@@ -34,47 +32,11 @@ from .kernels import (
     weighted_density_integral,
 )
 
-# A constant Hamiltonian is propagated by one dense `eigh`, at about
-# 1e-9 dim^3 s whatever the time span, or by Krylov `expm_multiply` (Al-Mohy &
-# Higham, SIAM J. Sci. Comput. 33, 488 (2011)), at about
-# 2e-7 nnz (||H||_1 t + n_out) s: its step count follows ||H||_1 t and each
-# output time costs a few more products.  Dense runs when
-# dim^3 < KRYLOV_COST_RATIO nnz (||H||_1 t + n_out), and never above
-# DENSE_EIG_DIM, which bounds its memory.  Measured with one BLAS thread on a
-# 2-vCPU x86 KVM guest (desk chains, the delta-train chain and stars of
-# configs/feedback-delay.json; out_step 0.05, 0.1 at t = 1), dense against
-# Krylov, with ratio = dim^3 / (nnz (||H||_1 t + n_out)):
-#
-#    dim    nnz   ||H||_1   t    dense     Krylov   ratio
-#     56    224     8.0     2    1.0 ms     19 ms     14
-#    330   1770    12.3    20     60 ms    314 ms     31
-#     90    378     8.0     2    3.2 ms     26 ms     34
-#    330   1770    12.3    10     49 ms    157 ms     63
-#    130    382    22.7     2    7.3 ms     40 ms     67   chain
-#    462   2142     8.0    20    184 ms    167 ms     82
-#    130    256    20.1     2    5.7 ms     30 ms    106   star
-#    330   1770    12.3     5     41 ms     36 ms    125
-#    462   2142     8.0    10    107 ms     89 ms    164
-#    910   5278    12.3    20    965 ms    608 ms    221
-#    168    840    12.3     1    8.0 ms    6.5 ms    242
-#    306   1394     8.0     2     31 ms     25 ms    360
-#    330   1770    12.3     1     40 ms    8.9 ms    871
-#    514   1024    36.6     2    153 ms     41 ms   1162   star
-#   1026   2048    51.7     2   1036 ms     86 ms   3652   star
-#
-# Below a ratio of about 80, Krylov's fixed cost of norm estimation and
-# per-output products dominates; above about 250 one eigh costs more than the
-# whole Krylov run.  In between, the two come within a factor of 1.6 of
-# each other and can swap order from run to run (dim 462 at t = 20 took
-# 178 ms dense against 240 ms Krylov in a second run); the split at 150 sits
-# in that band.
-DENSE_EIG_DIM = 1400
-KRYLOV_COST_RATIO = 150.0
-# A driven run keeps its Hamiltonian parts dense at or below DENSE_EXPM_DIM
-# and on one shared CSR pattern above it (`PartStack`).  One CF4 step (two
-# Taylor exponentials of degree 5 at dt = 0.2 / 512, driven desk qubit) takes,
-# dense against CSR, best of 15 x 200 steps with one BLAS thread on a 2-vCPU
-# x86 KVM guest:
+# Every run propagates by Taylor series on the vector (`PartStack`), keeping
+# its Hamiltonian parts dense at or below DENSE_EXPM_DIM and on one shared
+# CSR pattern above it.  One CF4 step (two Taylor exponentials of degree 5 at
+# dt = 0.2 / 512, driven desk qubit) takes, dense against CSR, best of
+# 15 x 200 steps with one BLAS thread on a 2-vCPU x86 KVM guest:
 #
 #    dim    nnz    dense      CSR
 #     30     98    33 us     50 us
@@ -86,6 +48,19 @@ KRYLOV_COST_RATIO = 150.0
 # A dense product pays dim^2 per matrix-vector product, CSR a fixed call cost
 # of a few microseconds; they cross between 56 and 72.
 DENSE_EXPM_DIM = 64
+# `PartStack.expm_apply` splits exp(A) into ceil(theta / TAYLOR_PIECE_NORM)
+# pieces for the norm bound theta.  Pieces of norm up to 4 need degree 33,
+# about 8 matrix-vector products per unit of norm against about 18 for
+# pieces of norm 1 (degree 18), and no Taylor term of a piece exceeds
+# e^4 ~ 55 times its input, so rounding stays near 1e-15.
+TAYLOR_PIECE_NORM = 4.0
+# Largest norm-time product theta_run = (t_final - t_0) sum_k ||P_k||_1 a run
+# may have; every profile is at most 1 in size, so theta_run bounds the total
+# exponent norm.  A constant run costs about 8 theta_run matrix-vector
+# products and a driven one far more, so a run above the limit would take
+# minutes to hours; the shipped configs and benchmark workloads reach at most
+# 165 (feedback-delay certify), 400 times below it.
+NORM_TIME_LIMIT = 2.0**16
 # CF4 local-error tolerance per output interval, and the halvings of its
 # substep (from 4) allowed before the controller fails.
 CF4_TOL = 1e-9
@@ -172,7 +147,7 @@ def measure_moments(space: TruncatedSpace, psi):
 
 class PartStack:
     """Hamiltonian parts P_0, P_1, ... on one storage layout, for the
-    exponentials exp(sum_k w_k P_k) psi of a driven run.
+    exponentials exp(sum_k w_k P_k) psi of a run.
 
     At or below `DENSE_EXPM_DIM` each part is a dense (dim, dim) array; above
     it every part is stored on one CSR pattern, the union of their patterns,
@@ -210,10 +185,10 @@ class PartStack:
         vector.
 
         theta = sum_k |w_k| ||P_k||_1 bounds ||A||_2.  The exponential is split
-        into s = ceil(theta) pieces exp(A / s), each summed to the smallest
-        degree m with (theta/s)^(m+1) e^(theta/s) / (m+1)! <= 2^-53, which
-        bounds the truncated tail relative to the piece's input.  A zero
-        exponent returns psi itself; a non-finite theta raises
+        into s = ceil(theta / TAYLOR_PIECE_NORM) pieces exp(A / s), each summed
+        to the smallest degree m with (theta/s)^(m+1) e^(theta/s) / (m+1)!
+        <= 2^-53, which bounds the truncated tail relative to the piece's
+        input.  A zero exponent returns psi itself; a non-finite theta raises
         `StepControlFailure`.
         """
         theta = float(np.abs(weights) @ self.norms)
@@ -222,7 +197,7 @@ class PartStack:
         if theta == 0.0:
             return psi
         np.dot(weights, self._stack, out=self._buf)
-        pieces = math.ceil(theta)
+        pieces = math.ceil(theta / TAYLOR_PIECE_NORM)
         x = theta / pieces
         degree, tail = 0, x * math.exp(x)
         while tail > 2.0**-53:
@@ -236,6 +211,16 @@ class PartStack:
                 psi = psi + term
         return psi
 
+    def check_norm_time(self, times):
+        """Raise `StepControlFailure` when the run over `times` has a
+        norm-time product (t_final - t_0) sum_k ||P_k||_1 above
+        `NORM_TIME_LIMIT`."""
+        theta_run = float((times[-1] - times[0]) * self.norms.sum())
+        if not theta_run <= NORM_TIME_LIMIT:
+            raise StepControlFailure(
+                f"norm-time product (t_final - t_0) * sum_k ||P_k||_1 = "
+                f"{theta_run:.3g} exceeds the limit {NORM_TIME_LIMIT:.0f}")
+
 
 def _cf4_step(stack, profiles, t, dt, psi):
     """Fourth-order commutator-free exponential step.  Row e of
@@ -248,11 +233,16 @@ def _cf4_step(stack, profiles, t, dt, psi):
     return psi
 
 
+def output_count(t_final: float, out_step: float) -> int:
+    """len(output_times(t_final, out_step)), without building the grid; an
+    infinite ratio counts as 2^62 steps."""
+    return max(round(min(t_final / out_step, 2.0**62)), 1) + 1
+
+
 def output_times(t_final: float, out_step: float) -> np.ndarray:
     """round(t_final / out_step) >= 1 equal steps from 0 to t_final; chain
     and star runs both record on this grid."""
-    n_out = max(int(round(t_final / out_step)), 1)
-    return np.linspace(0.0, t_final, n_out + 1)
+    return np.linspace(0.0, t_final, output_count(t_final, out_step))
 
 
 def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
@@ -260,17 +250,15 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
            keep_states: bool = False) -> Trajectory:
     """Propagate psi0 under the dilated Hamiltonian and record the trajectory.
 
-    Time-independent Hamiltonians use one dense eigendecomposition or Krylov
-    `expm_multiply` over the whole output grid, whichever costs less by
-    estimate: dense costs dim^3, Krylov `KRYLOV_COST_RATIO` times
-    nnz (||H||_1 t_final + output count), and dense never runs above
-    `DENSE_EIG_DIM`.  Time-dependent ones use a
-    commutator-free fourth-order scheme with step halving until the
-    Richardson estimate meets `CF4_TOL`; each exponential is a Taylor series
-    on the vector (`PartStack.expm_apply`), with the parts stored dense at
-    or below `DENSE_EXPM_DIM` and on one CSR pattern above it.  States are
-    recorded on `output_times(t_final, out_step)`, the grid the star oracle
-    also uses.
+    Every exponential is a Taylor series on the vector
+    (`PartStack.expm_apply`), with the parts stored dense at or below
+    `DENSE_EXPM_DIM` and on one CSR pattern above it.  A time-independent
+    Hamiltonian takes one exponential per output interval; a time-dependent
+    one a commutator-free fourth-order scheme with step halving until the
+    Richardson estimate meets `CF4_TOL`.  Either run fails with
+    `StepControlFailure` before its first step when its norm-time product
+    exceeds `NORM_TIME_LIMIT`.  States are recorded on
+    `output_times(t_final, out_step)`, the grid the star oracle also uses.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (space.dimension,):
@@ -289,19 +277,15 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
 
 
 def _propagate_const(h, psi0, times):
-    """States exp(-i h t) psi0 at `times`, one row each: (T, dim)."""
-    dim = psi0.size
-    if dim <= DENSE_EIG_DIM:
-        # exact sparse 1-norm: the quantity expm_multiply's step count follows
-        norm1 = float(abs(h).sum(axis=0).max())
-        krylov_cost = h.nnz * (norm1 * (times[-1] - times[0]) + len(times))
-        if dim**3 < KRYLOV_COST_RATIO * krylov_cost:
-            vals, vecs = eigh(h.toarray())
-            coeff = vecs.conj().T @ psi0
-            return np.array([vecs @ (np.exp(-1j * vals * t) * coeff)
-                             for t in times])
-    return expm_multiply(-1j * h.tocsc(), psi0, start=times[0], stop=times[-1],
-                         num=len(times), endpoint=True)
+    """States exp(-i h t) psi0 at `times`, one row each: (T, dim); one
+    exponential per output interval."""
+    stack = PartStack([h], dense=psi0.size <= DENSE_EXPM_DIM)
+    stack.check_norm_time(times)
+    states = np.empty((len(times), psi0.size), dtype=complex)
+    states[0] = psi = psi0
+    for i, dt in enumerate(np.diff(times)):
+        states[i + 1] = psi = stack.expm_apply(np.array([-1j * dt]), psi)
+    return states
 
 
 def _propagate_cf4(stack, profiles, psi0, times):
@@ -311,6 +295,7 @@ def _propagate_cf4(stack, profiles, psi0, times):
     accepted (at least 4), so a steady run computes one discarded level per
     interval; the finest level allowed is 4 * 2^(CF4_MAX_HALVINGS - 1).
     """
+    stack.check_norm_time(times)
     states = np.empty((len(times), psi0.size), dtype=complex)
     states[0] = psi = psi0
     n_max = 4 << (CF4_MAX_HALVINGS - 1)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply
 
 from .dynamics import Trajectory, _collect, _propagate_const, output_times
 from .errors import ShapeMismatch, StepControlFailure
@@ -84,6 +83,8 @@ def lindblad_evolve(model: SystemModel, rates, rho0, t_final: float,
     `expm_multiply` propagates vec(rho0) over `output_times`.  Returns
     (times, rhos) with rhos of shape (T, ds, ds).
     """
+    from scipy.sparse.linalg import expm_multiply
+
     rates = np.asarray(rates, dtype=float)
     if np.any(rates < 0):
         raise ValueError("Lindblad rates must be nonnegative")

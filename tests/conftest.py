@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from nmk_sim import dynamics as dyn
 from nmk_sim import kernels as ker
 
 
@@ -24,15 +23,12 @@ def lorentzian_coupling(lorentzian_kernel):
                           ker.choose_grid(lorentzian_kernel, mol))
 
 
-@pytest.fixture()
-def eigh_calls(monkeypatch):
-    """Dimensions of the matrices passed to the dense propagator's `eigh`."""
-    calls = []
-    eigh = dyn.eigh
-
-    def counting(a):
-        calls.append(a.shape[0])
-        return eigh(a)
-
-    monkeypatch.setattr(dyn, "eigh", counting)
-    return calls
+@pytest.fixture(scope="session")
+def eigh_states():
+    """exp(-i h t) psi0 at each of `times` by one dense eigendecomposition of
+    the sparse Hermitian h: (T, dim), the reference for the propagator."""
+    def states(h, psi0, times):
+        vals, vecs = np.linalg.eigh(h.toarray())
+        coeff = vecs.conj().T @ psi0
+        return (np.exp(-1j * np.outer(times, vals)) * coeff) @ vecs.T
+    return states

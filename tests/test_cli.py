@@ -3,6 +3,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -261,6 +262,57 @@ def test_oversized_certify_refinement_fails_before_any_work(tmp_path, capsys):
     code = cli.main(["certify", "--config", path, "--out", str(out)])
     assert code == 3
     assert "exceeds cap" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5.0
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("mode, out_step", [
+    ("simulate", 1e-7),          # 2e7 rows at the base dim 90: 27 GiB
+    ("certify", 4e-5),           # base 69 MiB fits; cap-4 dim 990: 755 MiB
+    ("compare-oracle", 4e-5),    # star dim 4290: 3.2 GiB
+])
+def test_oversized_output_states_fail_before_any_allocation(
+        tmp_path, capsys, monkeypatch, mode, out_step):
+    # the (output times, dim) state array of every space the point needs is
+    # sized in cli._space, before any run starts or any grid is built
+    def no_run(*args, **kwargs):
+        raise AssertionError("propagation started")
+
+    monkeypatch.setattr(dyn, "evolve", no_run)
+    monkeypatch.setattr(dyn, "output_times", no_run)
+    doc = _shipped("lorentzian-desk.json")
+    doc["out_step"] = out_step
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        code = cli.main([mode, "--config", path, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "output states" in err and "exceed cap" in err
+    assert peak < 16 * 2**20
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["simulate", "certify"])
+@pytest.mark.parametrize("name", ["lorentzian-desk.json", "driven-qubit.json"])
+def test_huge_norm_time_product_is_exit_three(tmp_path, capsys, name, mode):
+    # a system term of scale 1e6 gives theta_run near 1e6 t_final, far above
+    # dyn.NORM_TIME_LIMIT: the run must refuse before its first step, where
+    # it would otherwise run for hours
+    doc = _shipped(name)
+    doc["system"]["hamiltonian"][0]["scale"] = 1e6
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = cli.main([mode, "--config", path, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "norm-time product" in err and "limit 65536" in err
+    assert "Traceback" not in err
     assert time.perf_counter() - start < 5.0
     assert not (out / "trajectory.csv").exists()
 

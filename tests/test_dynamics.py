@@ -79,48 +79,53 @@ def test_jaynes_cummings_population():
     traj.validate()
 
 
-def test_krylov_path_matches_eigendecomposition(monkeypatch):
+def test_krylov_path_matches_eigendecomposition(eigh_states):
+    # the 3-mode chain that once took scipy's Krylov path, against a dense
+    # eigendecomposition
     model = _qubit_model(hs=0.5 * SIGMA_Z, jump=SIGMA_X)
     coeffs = ChainCoefficients(np.array([0.1, -0.2, 0.3]),
                                np.array([0.4, 0.5]), 0.6, 1.0, 3)
     space = enumerate_basis(1, 2, 1, 3, 2)
     psi0 = _vacuum_start(space)
-    dense = evolve(model, [coeffs], space, psi0, 2.0, out_step=0.5,
-                   keep_states=True)
-    monkeypatch.setattr(dyn, "DENSE_EIG_DIM", 0)
-    krylov = evolve(model, [coeffs], space, psi0, 2.0, out_step=0.5,
-                    keep_states=True)
-    gap = max(np.linalg.norm(a - b)
-              for a, b in zip(dense.states, krylov.states))
-    assert gap < 1e-8
+    traj = evolve(model, [coeffs], space, psi0, 2.0, out_step=0.5,
+                  keep_states=True)
+    h, _ = fock.build_hamiltonian_parts(model, [coeffs], space)
+    want = eigh_states(h, psi0, traj.times)
+    assert np.max(np.linalg.norm(traj.states - want, axis=1)) < 1e-12
 
 
-def test_long_desk_chain_takes_dense_eigh(eigh_calls, lorentzian_coupling):
-    # dim 330 to t = 20 (401 outputs): Krylov pays ||H||_1 t and every
-    # output, dense one eigh; dense is about 5x faster here
+def test_long_desk_chain_matches_eigendecomposition(eigh_states,
+                                                    lorentzian_coupling):
+    # dim 330 to t = 20 (401 outputs, ||H||_1 t about 250)
     model = _qubit_model(hs=0.5 * SIGMA_Z, jump=SIGMA_X)
     chain = star_to_chain(lorentzian_coupling, 3.0, 8)
     space = enumerate_basis(1, 2, 1, 8, 3)
-    assert space.dimension >= 300
-    evolve(model, [chain], space, _vacuum_start(space), 20.0,
-           out_step=0.05).validate()
-    assert eigh_calls == [space.dimension]
+    assert space.dimension == 330
+    psi0 = _vacuum_start(space)
+    traj = evolve(model, [chain], space, psi0, 20.0, out_step=0.05,
+                  keep_states=True).validate()
+    assert len(traj.times) == 401
+    h, _ = fock.build_hamiltonian_parts(model, [chain], space)
+    want = eigh_states(h, psi0, traj.times)
+    assert np.max(np.linalg.norm(traj.states - want, axis=1)) < 1e-12
 
 
-@pytest.mark.parametrize("ceiling, expected", [(89, 0), (90, 1)],
-                         ids=["above", "at"])
-def test_dense_eigh_never_above_ceiling(monkeypatch, eigh_calls,
-                                        lorentzian_coupling, ceiling, expected):
-    # even at an infinite Krylov cost, a dim-90 Hamiltonian above the
-    # DENSE_EIG_DIM ceiling takes Krylov
-    monkeypatch.setattr(dyn, "KRYLOV_COST_RATIO", math.inf)
-    monkeypatch.setattr(dyn, "DENSE_EIG_DIM", ceiling)
-    model = _qubit_model(hs=0.5 * SIGMA_Z, jump=SIGMA_X)
-    space = enumerate_basis(1, 2, 1, 8, 2)
-    assert space.dimension == 90
-    evolve(model, [star_to_chain(lorentzian_coupling, 3.0, 8)], space,
-           _vacuum_start(space), 0.5, out_step=0.25)
-    assert len(eigh_calls) == expected
+@pytest.mark.parametrize("run", ["const", "driven"])
+def test_norm_time_product_above_limit_fails_before_first_step(monkeypatch,
+                                                               run):
+    # ||sigma_z||_1 = 1, so theta_run = 1e6 t_final; no exponential may run
+    def no_step(*args):
+        raise AssertionError("exponential taken above the norm-time limit")
+
+    monkeypatch.setattr(dyn.PartStack, "expm_apply", no_step)
+    profile = TimeProfile("cos", 2.0) if run == "driven" else None
+    model = _qubit_model(hs=1e6 * SIGMA_Z, profile=profile)
+    zero = ChainCoefficients(np.zeros(1), np.zeros(0), 0.0, 1.0, 1)
+    space = enumerate_basis(1, 2, 1, 1, 1)
+    t_final = 1.01 * dyn.NORM_TIME_LIMIT / 1e6
+    with pytest.raises(StepControlFailure, match="norm-time product"):
+        evolve(model, [zero], space, _vacuum_start(space), t_final,
+               out_step=t_final)
 
 
 def test_time_dependent_matches_commuting_closed_form(monkeypatch):
@@ -160,13 +165,11 @@ def test_dense_and_sparse_cf4_agree(monkeypatch, lorentzian_coupling):
 
 def test_driven_dim_90_run_takes_no_krylov(monkeypatch, lorentzian_coupling):
     # above DENSE_EXPM_DIM the parts share one CSR pattern and every
-    # exponential is a Taylor series on the vector, as in dense storage
-    def no_krylov(*args, **kwargs):
-        raise AssertionError("expm_multiply called on a driven run")
-
+    # exponential is a Taylor series on the vector, as in dense storage;
+    # the propagator binds no scipy exponential at all
+    assert not hasattr(dyn, "expm_multiply")
     model, chains, space, psi0 = _driven_qubit(lorentzian_coupling, 8, 2)
     assert space.dimension == 90 > dyn.DENSE_EXPM_DIM
-    monkeypatch.setattr(dyn, "expm_multiply", no_krylov)
     sparse = evolve(model, chains, space, psi0, 0.4, out_step=0.2,
                     keep_states=True)
     monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", 100)
@@ -203,7 +206,8 @@ def _hermitian_parts(rng, dim, count):
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
-@pytest.mark.parametrize("theta", [0.0, 1e-4, 0.01, 0.5, 3.0, 40.0])
+@pytest.mark.parametrize("theta", [0.0, 1e-4, 0.01, 0.5, 3.0, 4.0, 4.01,
+                                   40.0, 400.0])
 def test_taylor_exponential_matches_expm(dense, theta):
     rng = np.random.default_rng(7)
     parts = _hermitian_parts(rng, 24, 3)

@@ -1,7 +1,8 @@
 """Start-up cost: modules with narrow users load only when a run needs them.
 
 `scipy.integrate` serves only the tabulated total variation, `scipy.special`
-nothing, and `mpmath` only the arbitrary-precision flat-chain check.  Each
+nothing, `mpmath` only the arbitrary-precision flat-chain check, and
+`scipy.sparse.linalg` only the Lindblad oracle, which no CLI mode runs.  Each
 check runs in a fresh interpreter, since this test session imports them.
 """
 
@@ -11,7 +12,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-NARROW = ("scipy.integrate", "scipy.special", "mpmath")
+NARROW = ("scipy.integrate", "scipy.special", "mpmath",
+          "scipy.sparse.linalg")
 
 
 def _loaded_after(code):
@@ -30,9 +32,17 @@ def test_cli_import_loads_no_narrow_module():
     assert _loaded_after("import nmk_sim.cli") == []
 
 
-def test_lorentzian_certify_loads_no_narrow_module(tmp_path):
+def _cli_run(mode, tmp_path):
     config = os.path.join(ROOT, "configs", "lorentzian-desk.json")
-    code = ("from nmk_sim import cli\n"
-            f"assert cli.main(['certify', '--config', {config!r}, "
+    return ("from nmk_sim import cli\n"
+            f"assert cli.main([{mode!r}, '--config', {config!r}, "
             f"'--out', {str(tmp_path)!r}]) == 0")
-    assert _loaded_after(code) == []
+
+
+def test_lorentzian_certify_loads_no_narrow_module(tmp_path):
+    assert _loaded_after(_cli_run("certify", tmp_path)) == []
+
+
+def test_compare_oracle_loads_no_narrow_module(tmp_path):
+    # the star oracle propagates with the chain's Taylor exponential
+    assert _loaded_after(_cli_run("compare-oracle", tmp_path)) == []

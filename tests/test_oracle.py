@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from nmk_sim import dynamics as dyn
 from nmk_sim import kernels as ker
 from nmk_sim.chain import star_to_chain
 from nmk_sim.dynamics import evolve, trace_distance
@@ -18,7 +17,8 @@ from nmk_sim.fock import (
     assemble_initial_state,
     enumerate_basis,
 )
-from nmk_sim.oracle import StarDiscretization, lindblad_evolve, star_evolve
+from nmk_sim.oracle import (StarDiscretization, _star_hamiltonian,
+                            lindblad_evolve, star_evolve)
 
 
 def _qubit(hs=None, jump=SIGMA_MINUS):
@@ -76,22 +76,20 @@ def test_star_rejects_driven_system():
         star_evolve(driven, [star], space, psi0, 1.0)
 
 
-def test_large_star_takes_krylov(monkeypatch, eigh_calls, lorentzian_coupling):
-    # dim 514, nnz 1024: one dense eigh costs more than the Krylov run to t = 2
+def test_large_star_matches_eigendecomposition(eigh_states,
+                                               lorentzian_coupling):
+    # 256-mode star: dim 514 to t = 2
     model = _qubit(hs=0.5 * SIGMA_Z)
     star = StarDiscretization.from_coupling(lorentzian_coupling, 3.0, 256)
     space = enumerate_basis(1, 2, 1, 256, 1)
+    assert space.dimension == 514
     psi0, _ = assemble_initial_state(space, np.array([1.0, 0.0]),
                                      [InitialEnvState()])
-    krylov = star_evolve(model, [star], space, psi0, 2.0, out_step=0.05,
-                         keep_states=True)
-    assert eigh_calls == []
-    monkeypatch.setattr(dyn, "KRYLOV_COST_RATIO", math.inf)
-    dense = star_evolve(model, [star], space, psi0, 2.0, out_step=0.05,
-                        keep_states=True)
-    assert eigh_calls == [514]
-    assert max(np.linalg.norm(a - b)
-               for a, b in zip(krylov.states, dense.states)) < 1e-12
+    traj = star_evolve(model, [star], space, psi0, 2.0, out_step=0.05,
+                       keep_states=True)
+    h = _star_hamiltonian(model, [star], space)
+    want = eigh_states(h, psi0, traj.times)
+    assert np.max(np.linalg.norm(traj.states - want, axis=1)) < 1e-12
 
 
 def test_star_vs_chain_converge(lorentzian_coupling):
