@@ -32,51 +32,37 @@ from .kernels import (
     weighted_density_integral,
 )
 
-# Every run propagates by Taylor series on the vector (`PartStack`), keeping
-# its Hamiltonian parts dense at or below DENSE_EXPM_DIM and on one shared
-# CSR pattern above it.  One CF4 step (two Taylor exponentials of degree 5 at
-# dt = 0.2 / 512, driven desk qubit) takes, dense against CSR, best of
-# 15 x 200 steps with one BLAS thread on a 2-vCPU x86 KVM guest:
-#
-#    dim    nnz    dense      CSR
-#     30     98    33 us     50 us
-#     56    208    48 us     53 us
-#     72    278    65 us     55 us
-#     90    358    76 us     57 us
-#    330   1678  1040 us    110 us
-#
-# A dense product pays dim^2 per matrix-vector product, CSR a fixed call cost
-# of a few microseconds; they cross between 56 and 72.
+# Every run propagates by one Taylor series in time (`_propagate`), its
+# Hamiltonian parts stacked into one operator (`PartStack`).  One piece of a
+# dt = 0.2 interval of the driven desk qubit (sigma_x cos(2t), two parts) and
+# of its constant part alone, best of 40 x 50 pieces with one BLAS thread on
+# a 2-vCPU x86 KVM guest:
+#    dim    nnz   degree   driven dense / CSR   degree   constant dense / CSR
+#     30    128     24        154 /  201 us        20          61 /  99 us
+#     56    264     24        191 /  223 us        21          77 / 111 us
+#     72    350     24        229 /  221 us        21          94 / 116 us
+#     90    448     24        302 /  235 us        21         114 / 124 us
+#    132    680     24        358 /  245 us        21         201 / 166 us
+#    330   2008     27       3740 /  418 us        25         914 / 336 us
+# A dense product pays (parts x dim) x dim per order, CSR a fixed call cost;
+# driven pieces cross between 56 and 72, constant ones between 90 and 132.
 DENSE_EXPM_DIM = 64
-# `PartStack.expm_apply` splits exp(A) into ceil(theta / TAYLOR_PIECE_NORM)
-# pieces for the norm bound theta.  Pieces of norm up to 4 need degree 33,
-# about 8 matrix-vector products per unit of norm against about 18 for
-# pieces of norm 1 (degree 18), and no Taylor term of a piece exceeds
-# e^4 ~ 55 times its input, so rounding stays near 1e-15.
+# Pieces of norm up to TAYLOR_PIECE_NORM = 4 (`_taylor_plan`) need degree
+# about 31, about 8 matrix-vector products per unit of norm against about
+# 18 for pieces of norm 1, and no Taylor term of a piece exceeds e^4 ~ 55
+# times its input, so rounding stays near 1e-15.
 TAYLOR_PIECE_NORM = 4.0
-# Largest norm-time product theta_run = (t_final - t_0) sum_k ||P_k||_1 a run
-# may have; every profile is at most 1 in size, so theta_run bounds the total
-# exponent norm.  A constant run costs about 8 theta_run matrix-vector
-# products and a driven one far more, so a run above the limit would take
-# minutes to hours; the shipped configs and benchmark workloads reach at most
-# 165 (feedback-delay certify), 400 times below it.
+# Largest norm-time product theta_run = (t_final - t_0) (sum_k ||P_k||_1 +
+# max_k |omega_k|) a run may have.  Every profile is at most 1 in size, so
+# theta_run bounds the exponent's norm and the profiles' phase, and with
+# them the pieces: a run above the limit would take minutes to hours.  The
+# shipped configs and benchmark workloads reach at most 165 (feedback-delay
+# certify), 400 times below it.
 NORM_TIME_LIMIT = 2.0**16
-# CF4 local-error tolerance per output interval, and the halvings of its
-# substep (from 4) allowed before the controller fails.
-CF4_TOL = 1e-9
-CF4_MAX_HALVINGS = 18
 VALIDATE_TOL = 1e-8       # see `Trajectory.validate`
 # Points of the [0, t] grid on which the truncation and regularization bounds
 # integrate their a-priori curves.
 BOUND_GRID = 257
-
-# Fourth-order commutator-free scheme (Alvermann & Fehske, JCP 230, 5930
-# (2011)): Gauss nodes c1, c2, and in row e the weights of H(t + c1 dt) and
-# H(t + c2 dt) in its exponential e.
-_CF4_C1 = 0.5 - math.sqrt(3.0) / 6.0
-_CF4_C2 = 0.5 + math.sqrt(3.0) / 6.0
-_CF4_WEIGHTS = 0.25 + math.sqrt(3.0) / 6.0 * np.array([[-1.0, 1.0],
-                                                       [1.0, -1.0]])
 
 
 @dataclass
@@ -146,91 +132,140 @@ def measure_moments(space: TruncatedSpace, psi):
 
 
 class PartStack:
-    """Hamiltonian parts P_0, P_1, ... on one storage layout, for the
-    exponentials exp(sum_k w_k P_k) psi of a run.
+    """Hamiltonian parts P_0, P_1, ..., P_K stacked vertically into one
+    ((K + 1) dim, dim) operator, dense at or below `DENSE_EXPM_DIM` and CSR
+    above it, so that one product returns every P_k phi.  Every part must be
+    Hermitian: `SystemModel` rejects non-Hermitian system terms and the bath
+    part is Hermitian by construction, so each part's 1-norm, taken once
+    here, bounds its 2-norm."""
 
-    At or below `DENSE_EXPM_DIM` each part is a dense (dim, dim) array; above
-    it every part is stored on one CSR pattern, the union of their patterns,
-    with one data row per part.  Either way the stack is (parts, n), and an
-    exponent is one `weights @ stack` product written into the buffer behind
-    the operator.  Every part must be Hermitian: `SystemModel` rejects
-    non-Hermitian system terms and the bath part is Hermitian by
-    construction, so each part's 1-norm, taken once here, bounds its 2-norm.
-    """
-
-    def __init__(self, parts, dense: bool):
-        dim = parts[0].shape[0]
+    def __init__(self, parts):
         self.norms = np.array([float(abs(p).sum(axis=0).max()) for p in parts])
-        if dense:
-            self._stack = np.stack([p.toarray().ravel() for p in parts])
-            self._op = np.empty((dim, dim), dtype=complex)
-            self._buf = self._op.reshape(-1)
-            return
-        coos = [p.tocoo() for p in parts]
-        for c in coos:
-            c.sum_duplicates()
-        keys = [c.row.astype(np.int64) * dim + c.col for c in coos]
-        union = np.unique(np.concatenate(keys))
-        self._stack = np.zeros((len(parts), union.size), dtype=complex)
-        for row, key, c in zip(self._stack, keys, coos):
-            row[np.searchsorted(union, key)] = c.data
-        indptr = np.searchsorted(union // dim, np.arange(dim + 1))
-        self._op = sp.csr_matrix(
-            (np.empty(union.size, dtype=complex), union % dim, indptr),
-            shape=(dim, dim))
-        self._buf = self._op.data
+        stack = sp.vstack(parts, format="csr")
+        self._stack = (stack.toarray() if parts[0].shape[0] <= DENSE_EXPM_DIM
+                       else stack)
 
-    def expm_apply(self, weights, psi):
-        """exp(A) psi for A = sum_k weights[k] P_k, by a Taylor series on the
-        vector.
-
-        theta = sum_k |w_k| ||P_k||_1 bounds ||A||_2.  The exponential is split
-        into s = ceil(theta / TAYLOR_PIECE_NORM) pieces exp(A / s), each summed
-        to the smallest degree m with (theta/s)^(m+1) e^(theta/s) / (m+1)!
-        <= 2^-53, which bounds the truncated tail relative to the piece's
-        input.  A zero exponent returns psi itself; a non-finite theta raises
-        `StepControlFailure`.
-        """
-        theta = float(np.abs(weights) @ self.norms)
-        if not math.isfinite(theta):
-            raise StepControlFailure(f"exponent norm bound is {theta}")
-        if theta == 0.0:
-            return psi
-        np.dot(weights, self._stack, out=self._buf)
-        pieces = math.ceil(theta / TAYLOR_PIECE_NORM)
-        x = theta / pieces
-        degree, tail = 0, x * math.exp(x)
-        while tail > 2.0**-53:
-            degree += 1
-            tail *= x / (degree + 1)
-        for _ in range(pieces):
-            term = psi
-            for j in range(1, degree + 1):
-                term = self._op @ term
-                term *= 1.0 / (pieces * j)
-                psi = psi + term
-        return psi
-
-    def check_norm_time(self, times):
-        """Raise `StepControlFailure` when the run over `times` has a
-        norm-time product (t_final - t_0) sum_k ||P_k||_1 above
-        `NORM_TIME_LIMIT`."""
-        theta_run = float((times[-1] - times[0]) * self.norms.sum())
-        if not theta_run <= NORM_TIME_LIMIT:
-            raise StepControlFailure(
-                f"norm-time product (t_final - t_0) * sum_k ||P_k||_1 = "
-                f"{theta_run:.3g} exceeds the limit {NORM_TIME_LIMIT:.0f}")
+    def products(self, phi):
+        """(K + 1, dim) array whose row k is P_k phi."""
+        return (self._stack @ phi).reshape(self.norms.size, -1)
 
 
-def _cf4_step(stack, profiles, t, dt, psi):
-    """Fourth-order commutator-free exponential step.  Row e of
-    `_CF4_WEIGHTS` mixes H at the two Gauss nodes into exponential e; the
-    constant part has profile 1."""
-    values = np.array([[1.0] + [f(t + c * dt) for f in profiles]
-                       for c in (_CF4_C1, _CF4_C2)])
-    for weights in (-1j * dt) * (_CF4_WEIGHTS @ values):
-        psi = stack.expm_apply(weights, psi)
-    return psi
+def _majorant(a, beta, n):
+    """Taylor coefficients y_0 .. y_n of
+    y(s) = exp(sum_k a_k (e^{beta_k s} - 1) / beta_k), with a_k s for
+    beta_k = 0.  As y' = (sum_k a_k e^{beta_k s}) y: y_0 = 1 and
+    (m + 1) y_{m+1} = sum_{j <= m} d_j y_{m-j}, d_j = sum_k a_k beta_k^j / j!."""
+    steps = np.column_stack([np.ones_like(beta),
+                             np.outer(beta, 1.0 / np.arange(1, n))])
+    d = a @ np.cumprod(steps, axis=1)
+    y = np.zeros(n + 1)
+    y[0] = 1.0
+    for m in range(n):
+        y[m + 1] = d[:m + 1] @ y[m::-1] / (m + 1)
+    return y
+
+
+def _taylor_plan(norms, omegas, dt):
+    """(pieces, degree) for an output interval of length dt.
+
+    Pieces: the fewest equal pieces h with h sum_k ||P_k||_1 e^{|omega_k| h}
+    <= TAYLOR_PIECE_NORM, by doubling and bisection up from the constant
+    count ceil(dt sum_k ||P_k||_1 / TAYLOR_PIECE_NORM).
+
+    Degree: with a_k = h ||P_k||_1 >= ||h P_k||_2 and beta_k = h |omega_k|,
+    |c_{k,j}| <= beta_k^j / j! for either sign of omega_k, so bounding each
+    term of the recursion of `_taylor_terms` gives ||phi_m|| <= y_m ||psi||
+    by induction, with y_m >= 0 the coefficients of `_majorant`; truncating
+    after degree M errs by at most ||psi|| sum_{m > M} y_m.  The sum is
+    never formed as y(1) minus a partial sum, which would cancel: its terms
+    up to n are added as they are, and Cauchy's estimate y_m <= y(r) r^-m
+    bounds the rest by y(r) r^-n / (r - 1) for the best r > 1 of a fixed
+    set, with log y(r) <= r sum_k a_k e^{beta_k r} as (e^x - 1) / x <= e^x.
+    n doubles until the rest is at most 2^-54; the degree is the smallest M
+    whose bound is at most 2^-53.
+    """
+    def too_long(pieces):
+        h = dt / pieces
+        with np.errstate(over="ignore"):      # an overflow is too long
+            return h * float(norms @ np.exp(omegas * h)) > TAYLOR_PIECE_NORM
+
+    pieces = max(1, math.ceil(dt * norms.sum() / TAYLOR_PIECE_NORM))
+    fewer = pieces - 1
+    while too_long(pieces):
+        fewer, pieces = pieces, 2 * pieces
+    while pieces - fewer > 1:
+        mid = (fewer + pieces) // 2
+        fewer, pieces = (mid, pieces) if too_long(mid) else (fewer, mid)
+    h = dt / pieces
+    keep = norms > 0.0
+    a, beta = h * norms[keep], h * omegas[keep]
+    radii = 1.0 + 2.0 ** np.arange(-6.0, 8.0)
+    with np.errstate(over="ignore"):    # an infinite radius is never best
+        log_y = radii * (a @ np.exp(np.outer(beta, radii)))
+    for n in 2 ** np.arange(5, 13):
+        rest = math.exp(min(np.min(log_y - n * np.log(radii)
+                                   - np.log(radii - 1.0)), 0.0))
+        if rest <= 2.0**-54:
+            y = _majorant(a, beta, n)
+            after = np.append(np.cumsum(y[::-1])[-2::-1], 0.0) + rest
+            return pieces, int(np.argmax(after <= 2.0**-53))
+    raise StepControlFailure("no Taylor degree up to 4096 bounds the "
+                             "truncation error of a piece")
+
+
+def _taylor_terms(stack, profiles, t0, h, degree, psi):
+    """phi_0 = psi, phi_1, ..., phi_degree: the coefficients of
+    psi(t0 + s h) = sum_m phi_m s^m under H = P_0 + sum_k f_k P_k, from
+    (m + 1) phi_{m+1} = -i h [P_0 phi_m + sum_k sum_{j <= m} c_{k,j} P_k
+    phi_{m-j}] with c_k the Taylor coefficients of f_k
+    (`TimeProfile.taylor`).  Only the profiled parts' products are kept;
+    the constant part enters at j = 0 only, so a run without profiles does
+    no convolution work."""
+    # row degree - j holds c_{., j}: order m meets the last m + 1 rows
+    reversed_coeffs = np.array([f.taylor(t0, h, degree)[::-1]
+                                for f in profiles], dtype=complex).T
+    kept = np.empty((degree, len(profiles) * psi.size), dtype=complex)
+    phi = psi
+    yield phi
+    for m in range(degree):
+        products = stack.products(phi)
+        phi = products[0]
+        if profiles:
+            kept[m] = products[1:].ravel()
+            phi = phi + (reversed_coeffs[degree - m:].ravel()
+                         @ kept[:m + 1].reshape(-1, psi.size))
+        phi *= -1j * h / (m + 1)
+        yield phi
+
+
+def _propagate(stack, profiles, psi0, times):
+    """States at `times`, (T, dim), under H(t) = P_0 + sum_k f_k(t) P_k
+    for the parts of `stack` and the profiles f_1 .. f_K: each output
+    interval is cut into the pieces of `_taylor_plan` (planned once per
+    distinct length), each summing its Taylor series (`_taylor_terms`).
+    Fails with `StepControlFailure` before the first step when the run's
+    norm-time product exceeds `NORM_TIME_LIMIT`."""
+    omegas = np.abs([0.0] + [f.frequency for f in profiles])
+    theta_run = float((times[-1] - times[0])
+                      * (stack.norms.sum() + omegas.max()))
+    if not theta_run <= NORM_TIME_LIMIT:
+        raise StepControlFailure(
+            f"norm-time product (t_final - t_0) * (sum_k ||P_k||_1 + "
+            f"max_k |omega_k|) = {theta_run:.3g} exceeds the limit "
+            f"{NORM_TIME_LIMIT:.0f}")
+    states = np.empty((len(times), psi0.size), dtype=complex)
+    states[0] = psi = psi0
+    plans = {}
+    for i, (t0, dt) in enumerate(zip(times[:-1], np.diff(times))):
+        if dt not in plans:
+            plans[dt] = _taylor_plan(stack.norms, omegas, dt)
+        pieces, degree = plans[dt]
+        h = dt / pieces
+        for p in range(pieces):
+            terms = _taylor_terms(stack, profiles, t0 + p * h, h, degree, psi)
+            psi = sum(terms, next(terms))      # phi_0 + phi_1 + ...
+        states[i + 1] = psi
+    return states
 
 
 def output_count(t_final: float, out_step: float) -> int:
@@ -250,78 +285,26 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
            keep_states: bool = False) -> Trajectory:
     """Propagate psi0 under the dilated Hamiltonian and record the trajectory.
 
-    Every exponential is a Taylor series on the vector
-    (`PartStack.expm_apply`), with the parts stored dense at or below
-    `DENSE_EXPM_DIM` and on one CSR pattern above it.  A time-independent
-    Hamiltonian takes one exponential per output interval; a time-dependent
-    one a commutator-free fourth-order scheme with step halving until the
-    Richardson estimate meets `CF4_TOL`.  Either run fails with
-    `StepControlFailure` before its first step when its norm-time product
-    exceeds `NORM_TIME_LIMIT`.  States are recorded on
-    `output_times(t_final, out_step)`, the grid the star oracle also uses.
+    The constant part and the profiled system terms form one `PartStack`,
+    propagated by one Taylor series in time (`_propagate`).  States are
+    recorded on `output_times(t_final, out_step)`, the grid the star oracle
+    also uses.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (space.dimension,):
         raise ValueError("initial state has wrong dimension")
     times = output_times(t_final, out_step)
-
     h_const, profiled = build_hamiltonian_parts(model, chains, space)
-    if not profiled:
-        states = _propagate_const(h_const, psi0, times)
-    else:
-        stack = PartStack([h_const] + [term for term, _ in profiled],
-                          dense=psi0.size <= DENSE_EXPM_DIM)
-        states = _propagate_cf4(stack, [f for _, f in profiled], psi0, times)
-
+    stack = PartStack([h_const] + [term for term, _ in profiled])
+    states = _propagate(stack, [f for _, f in profiled], psi0, times)
     return _collect(space, times, states, keep_states, oracle=False)
 
 
+# `oracle.star_evolve` calls this by name: the benchmark subtracts it from
+# the star oracle's time to report the star Hamiltonian's build time.
 def _propagate_const(h, psi0, times):
-    """States exp(-i h t) psi0 at `times`, one row each: (T, dim); one
-    exponential per output interval."""
-    stack = PartStack([h], dense=psi0.size <= DENSE_EXPM_DIM)
-    stack.check_norm_time(times)
-    states = np.empty((len(times), psi0.size), dtype=complex)
-    states[0] = psi = psi0
-    for i, dt in enumerate(np.diff(times)):
-        states[i + 1] = psi = stack.expm_apply(np.array([-1j * dt]), psi)
-    return states
-
-
-def _propagate_cf4(stack, profiles, psi0, times):
-    """CF4 states at `times`, one row each: (T, dim).
-
-    Each output interval starts at half the substep count the previous one
-    accepted (at least 4), so a steady run computes one discarded level per
-    interval; the finest level allowed is 4 * 2^(CF4_MAX_HALVINGS - 1).
-    """
-    stack.check_norm_time(times)
-    states = np.empty((len(times), psi0.size), dtype=complex)
-    states[0] = psi = psi0
-    n_max = 4 << (CF4_MAX_HALVINGS - 1)
-    accepted = 4
-    for i, (t0, t1) in enumerate(zip(times[:-1], times[1:])):
-        n_sub = max(4, accepted // 2)
-        prev = None
-        while True:
-            cur = psi
-            dt = (t1 - t0) / n_sub
-            for k in range(n_sub):
-                cur = _cf4_step(stack, profiles, t0 + k * dt, dt, cur)
-            # a unitary step drifts in norm only by rounding, far below tol;
-            # Trajectory.validate checks the drift of the whole trajectory
-            if (prev is not None
-                    and float(np.linalg.norm(cur - prev)) / 15.0 < CF4_TOL):
-                break
-            if n_sub >= n_max:
-                raise StepControlFailure(
-                    f"CF4 controller failed on [{t0}, {t1}] at {n_sub} "
-                    "substeps")
-            prev = cur
-            n_sub *= 2
-        states[i + 1] = psi = cur
-        accepted = n_sub
-    return states
+    """States exp(-i h t) psi0 at `times`, one row each: (T, dim)."""
+    return _propagate(PartStack([h]), [], psi0, times)
 
 
 def _collect(space, times, states, keep_states, oracle):

@@ -49,8 +49,9 @@ class ShapeMismatch(NmkSimError):
 
 
 class StepControlFailure(NmkSimError):
-    """Local error controller could not meet the requested tolerance, or a
-    propagated state failed its sanity checks."""
+    """A run the propagator cannot take (norm-time product above its limit,
+    no bounding Taylor degree, a profile an oracle does not support), or a
+    propagated state that failed its sanity checks."""
 
 
 class UnsupportedInitialState(NmkSimError):

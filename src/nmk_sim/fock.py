@@ -58,14 +58,29 @@ class TimeProfile:
     kind: str = "const"          # const | cos | sin
     frequency: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("const", "cos", "sin"):
+            raise ValueError(f"unknown profile kind {self.kind!r}")
+
     def __call__(self, t: float) -> float:
         if self.kind == "const":
             return 1.0
         if self.kind == "cos":
             return math.cos(self.frequency * t)
-        if self.kind == "sin":
-            return math.sin(self.frequency * t)
-        raise ValueError(f"unknown profile kind {self.kind!r}")
+        return math.sin(self.frequency * t)
+
+    def taylor(self, t0: float, h: float, degree: int) -> np.ndarray:
+        """Coefficients c_0 .. c_degree of f(t0 + s h) = sum_j c_j s^j:
+        (1, 0, 0, ...) for const, (omega h)^j / j! cos(omega t0 + j pi / 2)
+        for cos, and for sin the same with sin(x) = cos(x - pi / 2)."""
+        j = np.arange(degree + 1)
+        if self.is_constant:
+            return (j == 0).astype(float)
+        x = self.frequency * t0
+        cycle = np.array([math.cos(x), -math.sin(x), -math.cos(x),
+                          math.sin(x)])     # cos(x + j pi / 2), j = 0 .. 3
+        scale = np.cumprod(np.append(1.0, self.frequency * h / j[1:]))
+        return scale * cycle[(j - (self.kind == "sin")) % 4]
 
     @property
     def is_constant(self):

@@ -32,3 +32,27 @@ def eigh_states():
         coeff = vecs.conj().T @ psi0
         return (np.exp(-1j * np.outer(times, vals)) * coeff) @ vecs.T
     return states
+
+
+@pytest.fixture(scope="session")
+def ode_states():
+    """psi(t) at each of `times` under H(t) = P_0 + sum_k f_k(t) P_k by
+    scipy's DOP853 at rtol 3e-14 and atol 1e-15, restarted at every output
+    time so no row is interpolated: (T, dim), the reference for the
+    time-dependent propagator."""
+    from scipy.integrate import solve_ivp
+
+    def states(parts, profiles, psi0, times):
+        def rhs(t, psi):
+            out = parts[0] @ psi
+            for f, part in zip(profiles, parts[1:]):
+                out = out + f(t) * (part @ psi)
+            return -1j * out
+
+        rows = [np.asarray(psi0, dtype=complex)]
+        for t0, t1 in zip(times[:-1], times[1:]):
+            sol = solve_ivp(rhs, (t0, t1), rows[-1], method="DOP853",
+                            rtol=3e-14, atol=1e-15)
+            rows.append(sol.y[:, -1])
+        return np.array(rows)
+    return states

@@ -317,6 +317,28 @@ def test_huge_norm_time_product_is_exit_three(tmp_path, capsys, name, mode):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["simulate", "certify"])
+@pytest.mark.parametrize("frequency", [math.inf, 1e6], ids=["Infinity", "1e6"])
+def test_unbounded_drive_frequency_is_exit_three(tmp_path, capsys, frequency,
+                                                 mode):
+    # JSON's Infinity passes the parser and the schema; it and a frequency of
+    # 1e6 put theta_run far above dyn.NORM_TIME_LIMIT through max_k |omega_k|:
+    # the run must refuse before its first step, where it would otherwise end
+    # in a math domain error or run for hours
+    doc = _shipped("driven-qubit.json")
+    doc["system"]["hamiltonian"][0]["profile"]["frequency"] = frequency
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = cli.main([mode, "--config", path, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "norm-time product" in err and "limit 65536" in err
+    assert "Traceback" not in err
+    assert time.perf_counter() - start < 5.0
+    assert not (out / "trajectory.csv").exists()
+
+
 # -- chain-map ---------------------------------------------------------------------
 
 def test_chain_map_flat_kernel_matches_legendre(tmp_path):

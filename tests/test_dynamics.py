@@ -110,16 +110,19 @@ def test_long_desk_chain_matches_eigendecomposition(eigh_states,
     assert np.max(np.linalg.norm(traj.states - want, axis=1)) < 1e-12
 
 
-@pytest.mark.parametrize("run", ["const", "driven"])
+@pytest.mark.parametrize("run", ["const", "driven", "fast-drive"])
 def test_norm_time_product_above_limit_fails_before_first_step(monkeypatch,
                                                                run):
-    # ||sigma_z||_1 = 1, so theta_run = 1e6 t_final; no exponential may run
+    # ||sigma_z||_1 = 1, so theta_run = 1e6 t_final either from the scale or
+    # from the drive frequency; no product may run
     def no_step(*args):
-        raise AssertionError("exponential taken above the norm-time limit")
+        raise AssertionError("product taken above the norm-time limit")
 
-    monkeypatch.setattr(dyn.PartStack, "expm_apply", no_step)
-    profile = TimeProfile("cos", 2.0) if run == "driven" else None
-    model = _qubit_model(hs=1e6 * SIGMA_Z, profile=profile)
+    monkeypatch.setattr(dyn.PartStack, "products", no_step)
+    profile = {"const": None, "driven": TimeProfile("cos", 2.0),
+               "fast-drive": TimeProfile("sin", -1e6)}[run]
+    scale = 1.0 if run == "fast-drive" else 1e6
+    model = _qubit_model(hs=scale * SIGMA_Z, profile=profile)
     zero = ChainCoefficients(np.zeros(1), np.zeros(0), 0.0, 1.0, 1)
     space = enumerate_basis(1, 2, 1, 1, 1)
     t_final = 1.01 * dyn.NORM_TIME_LIMIT / 1e6
@@ -128,7 +131,7 @@ def test_norm_time_product_above_limit_fails_before_first_step(monkeypatch,
                out_step=t_final)
 
 
-def test_time_dependent_matches_commuting_closed_form(monkeypatch):
+def test_time_dependent_matches_commuting_closed_form():
     # H(t) = cos(nu t) sigma_x / 2 commutes with itself at all times:
     # P_e(t) = cos^2(sin(nu t) / (2 nu)).
     nu = 1.7
@@ -136,7 +139,6 @@ def test_time_dependent_matches_commuting_closed_form(monkeypatch):
     zero = ChainCoefficients(np.zeros(1), np.zeros(0), 0.0, 1.0, 1)
     space = enumerate_basis(1, 2, 1, 1, 1)
     psi0 = _vacuum_start(space)
-    monkeypatch.setattr(dyn, "CF4_TOL", 1e-10)
     traj = evolve(model, [zero], space, psi0, 3.0, out_step=0.25)
     expected = np.cos(np.sin(nu * traj.times) / (2.0 * nu)) ** 2
     assert np.max(np.abs(traj.rho_ee() - expected)) < 1e-9
@@ -151,16 +153,20 @@ def _driven_qubit(lorentzian_coupling, modes, cap):
     return model, [chain], space, _vacuum_start(space)
 
 
-def test_dense_and_sparse_cf4_agree(monkeypatch, lorentzian_coupling):
-    # the driven case of acceptance criterion 5 (dim 30), cut to t = 0.4
-    model, chains, space, psi0 = _driven_qubit(lorentzian_coupling, 4, 2)
-    assert space.dimension <= dyn.DENSE_EXPM_DIM
-    dense = evolve(model, chains, space, psi0, 0.4, out_step=0.2)
-    monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", 0)
-    sparse = evolve(model, chains, space, psi0, 0.4, out_step=0.2)
-    for name in ("rho_s", "mu1", "norms"):
-        gap = np.max(np.abs(getattr(dense, name) - getattr(sparse, name)))
-        assert gap < 1e-12, name
+@pytest.mark.parametrize("modes", [4, 8], ids=["dim30", "dim90"])
+@pytest.mark.parametrize("dense_dim", [100, 0], ids=["dense", "csr"])
+def test_driven_run_matches_ode_reference(monkeypatch, ode_states,
+                                          lorentzian_coupling, modes,
+                                          dense_dim):
+    # the driven case of acceptance criterion 5 to t = 2, dense and CSR
+    model, chains, space, psi0 = _driven_qubit(lorentzian_coupling, modes, 2)
+    monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", dense_dim)
+    traj = evolve(model, chains, space, psi0, 2.0, out_step=0.2,
+                  keep_states=True).validate()
+    h_const, profiled = fock.build_hamiltonian_parts(model, chains, space)
+    want = ode_states([h_const] + [term for term, _ in profiled],
+                      [f for _, f in profiled], psi0, traj.times)
+    assert np.max(np.linalg.norm(traj.states - want, axis=1)) < 1e-13
 
 
 def test_driven_dim_90_run_takes_no_krylov(monkeypatch, lorentzian_coupling):
@@ -178,24 +184,6 @@ def test_driven_dim_90_run_takes_no_krylov(monkeypatch, lorentzian_coupling):
     assert np.max(np.abs(sparse.states - dense.states)) < 1e-12
 
 
-def test_substep_count_carries_across_intervals(monkeypatch,
-                                                lorentzian_coupling):
-    # the first interval accepts 256 substeps, so the second starts at 128
-    # and accepts 512: 508 + 896 steps of two exponentials each, where
-    # restarting every interval at 4 substeps takes 508 + 1020
-    calls = []
-    expm_apply = dyn.PartStack.expm_apply
-
-    def counting(self, weights, psi):
-        calls.append(1)
-        return expm_apply(self, weights, psi)
-
-    monkeypatch.setattr(dyn.PartStack, "expm_apply", counting)
-    model, chains, space, psi0 = _driven_qubit(lorentzian_coupling, 4, 2)
-    evolve(model, chains, space, psi0, 0.4, out_step=0.2).validate()
-    assert len(calls) == 2 * (508 + 896)
-
-
 def _hermitian_parts(rng, dim, count):
     parts = []
     for _ in range(count):
@@ -208,19 +196,59 @@ def _hermitian_parts(rng, dim, count):
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
 @pytest.mark.parametrize("theta", [0.0, 1e-4, 0.01, 0.5, 3.0, 4.0, 4.01,
                                    40.0, 400.0])
-def test_taylor_exponential_matches_expm(dense, theta):
+def test_taylor_exponential_matches_expm(monkeypatch, dense, theta):
+    # one profile-free output interval of norm bound theta = t ||h||_1
     rng = np.random.default_rng(7)
     parts = _hermitian_parts(rng, 24, 3)
-    stack = dyn.PartStack(parts, dense=dense)
-    weights = -1j * rng.uniform(-1.0, 1.0, 3)
-    weights *= theta / float(np.abs(weights) @ stack.norms)
+    h = sum(w * p for w, p in zip(rng.uniform(-1.0, 1.0, 3), parts))
+    monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", 24 if dense else 0)
+    stack = dyn.PartStack([h])
+    t = theta / stack.norms[0]
     psi = rng.normal(size=24) + 1j * rng.normal(size=24)
-    a = sum(w * p.toarray() for w, p in zip(weights, parts))
-    want = expm(a) @ psi
-    got = stack.expm_apply(weights, psi)
+    want = expm(-1j * t * h.toarray()) @ psi
+    got = dyn._propagate(stack, [], psi, np.array([0.0, t]))[-1]
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     if theta == 0.0:
         assert got.tobytes() == psi.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_taylor_terms_within_majorant(ode_states, seed):
+    # random Hermitian parts with cos and sin drives, |omega| up to 50 and
+    # either sign: every Taylor coefficient of one piece lies below its
+    # majorant, the planned degree is the smallest whose majorant tail is
+    # at most 2^-53 (up to the 2^-54 allowed for its Cauchy estimate), and
+    # the summed piece is within that tail (plus rounding) of the reference
+    rng = np.random.default_rng(seed)
+    parts = _hermitian_parts(rng, 12, 3)
+    profiles = [TimeProfile(kind, omega) for kind, omega in
+                zip(rng.choice(["cos", "sin"], 2), rng.uniform(-50, 50, 2))]
+    stack = dyn.PartStack(parts)
+    omegas = np.abs([0.0] + [f.frequency for f in profiles])
+    pieces, degree = dyn._taylor_plan(stack.norms, omegas, 1.0)
+    h, t0 = 1.0 / pieces, rng.uniform(0.0, 3.0)
+    psi = rng.normal(size=12) + 1j * rng.normal(size=12)
+    psi /= np.linalg.norm(psi)
+    terms = list(dyn._taylor_terms(stack, profiles, t0, h, degree, psi))
+    y = dyn._majorant(h * stack.norms, h * omegas, degree)
+    assert len(terms) == degree + 1
+    for phi, bound in zip(terms, y):
+        assert np.linalg.norm(phi) <= bound * (1.0 + 1e-12)
+    y = dyn._majorant(h * stack.norms, h * omegas, 4 * degree)
+    assert y[degree + 1:].sum() <= 2.0**-53 < 2.0 * y[degree:].sum()
+    want = ode_states(parts, profiles, psi, np.array([t0, t0 + h]))[-1]
+    assert np.linalg.norm(sum(terms[1:], terms[0]) - want) <= 2.0**-53 + 1e-14
+
+
+def test_profile_taylor_coefficients():
+    # the closed-form series of f(t0 + s h), summed, against f itself, for
+    # both signs of omega
+    for kind, omega in [("cos", 2.3), ("sin", 2.3), ("cos", -7.0),
+                        ("sin", -7.0), ("const", 0.0)]:
+        f = TimeProfile(kind, omega)
+        for s in (0.3, 1.0):
+            coeffs = f.taylor(0.7, 0.25, 40)
+            assert abs(coeffs @ s ** np.arange(41) - f(0.7 + 0.25 * s)) < 1e-15
 
 
 @pytest.mark.parametrize("dense_dim", [dyn.DENSE_EXPM_DIM, 0],
@@ -244,20 +272,6 @@ def test_nan_part_is_step_control_failure(monkeypatch, dense_dim):
     space = enumerate_basis(1, 2, 1, 1, 1)
     with pytest.raises(StepControlFailure):
         evolve(model, [zero], space, _vacuum_start(space), 1.0, out_step=1.0)
-
-
-@pytest.mark.parametrize("dense_dim", [dyn.DENSE_EXPM_DIM, 0],
-                         ids=["dense", "csr"])
-def test_step_control_failure(monkeypatch, dense_dim):
-    monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", dense_dim)
-    monkeypatch.setattr(dyn, "CF4_TOL", 1e-18)
-    monkeypatch.setattr(dyn, "CF4_MAX_HALVINGS", 2)
-    model = _qubit_model(hs=0.5 * SIGMA_X, profile=TimeProfile("cos", 2.0))
-    zero = ChainCoefficients(np.zeros(1), np.zeros(0), 0.0, 1.0, 1)
-    space = enumerate_basis(1, 2, 1, 1, 1)
-    psi0 = _vacuum_start(space)
-    with pytest.raises(StepControlFailure):
-        evolve(model, [zero], space, psi0, 1.0, out_step=1.0)
 
 
 @pytest.mark.parametrize("rho", [
