@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DegenerateWeight,
@@ -182,6 +181,16 @@ def _refined_jacobi(coupling, omega_c, n):
     )
 
 
+def _chain_eigh(coeffs):
+    """Eigenvalues (ascending) and eigenvectors of the chain's Jacobi matrix.
+
+    Solved densely with numpy, which needs no scipy import: certify sizes
+    chains to a few hundred modes, where this costs milliseconds.
+    """
+    h = coeffs.hopping
+    return np.linalg.eigh(np.diag(coeffs.onsite) + np.diag(h, 1) + np.diag(h, -1))
+
+
 def gauss_quadrature(coupling: RegularizedCoupling, omega_c: float,
                      count: int) -> QuadratureRule:
     """Gauss rule with `count` nodes for |vhat|^2 / ||v||^2 on the cutoff."""
@@ -190,9 +199,7 @@ def gauss_quadrature(coupling: RegularizedCoupling, omega_c: float,
     if coupling.grid.size and (coupling.grid[0] > -omega_c or coupling.grid[-1] < omega_c):
         raise ValueError("coupling grid does not cover [-omega_c, omega_c]")
     coeffs = star_to_chain(coupling, omega_c, count)
-    if count == 1:
-        return QuadratureRule(coeffs.onsite, np.array([1.0]), 1)
-    nodes, vecs = eigh_tridiagonal(coeffs.onsite, coeffs.hopping)
+    nodes, vecs = _chain_eigh(coeffs)
     weights = vecs[0, :] ** 2
     weights = weights / float(np.sum(weights))
     return QuadratureRule(nodes, weights, count)
@@ -218,10 +225,7 @@ def chain_propagate_single(coeffs: ChainCoefficients, c0, t):
     c0 = np.asarray(c0, dtype=complex)
     if c0.shape != (coeffs.modes,):
         raise ShapeMismatch("amplitude vector length must equal `modes`")
-    if coeffs.modes == 1:
-        vals, vecs = coeffs.onsite, np.ones((1, 1))
-    else:
-        vals, vecs = eigh_tridiagonal(coeffs.onsite, coeffs.hopping)
+    vals, vecs = _chain_eigh(coeffs)
     phases = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), vals))
     return (phases * (vecs.T @ c0)) @ vecs.T
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from importlib import resources
 
 import numpy as np
-from numpy.polynomial.legendre import legder, legval
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import (
     EpsilonTooLarge,
@@ -65,6 +64,9 @@ class MemoryKernel:
             for a, _, g in self.lorentzians:
                 if a <= 0 or g <= 0:
                     raise ValueError("lorentzian terms need alpha > 0 and gamma > 0")
+                if not math.isfinite(g * g):    # the density takes gamma**2
+                    raise ValueError("lorentzian terms need gamma**2 in the "
+                                     "float range")
         elif self.kind == DELTA_TRAIN:
             if not self.atoms:
                 raise ValueError("delta_train kernel needs at least one atom")
@@ -344,37 +346,24 @@ def apply_mu_star(kernel: MemoryKernel, interval, values, derivs,
 STANDARD_BUMP = "standard_bump"
 BUMP_SQUARED = "bump_squared"
 
-_GL_ORDER = 384
-_HALF = _GL_ORDER // 2      # the rule's positive nodes are x[_HALF:]
+_HALF = 192      # the 384-node rule's positive nodes are x[_HALF:]
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(order):
-    """Gauss-Legendre nodes and weights on [-1, 1], as numpy's ``leggauss``.
+@cache
+def _gl_rule():
+    """The 384-node Gauss-Legendre rule on [-1, 1], as numpy's ``leggauss``.
 
-    ``leggauss`` takes its first roots from a dense ``eigvalsh`` of the
-    Legendre companion matrix, which is the symmetric tridiagonal Jacobi
-    matrix; ``eigvalsh_tridiagonal`` finds them in half the time.  Newton
-    step, weights and symmetrization are ``leggauss``'s own, and the rule
-    matches it bit for bit (tests check order 384), so the rule is exactly
-    symmetric: x[::-1] == -x and w[::-1] == w.
+    Read from a table shipped with the package, which holds the 192
+    positive nodes and their weights and was written by
+    ``np.save("gauss_legendre_384.npy", np.stack(leggauss(384))[:, 192:])``.
+    The negative half is the positive half mirrored, as in ``leggauss``,
+    so the rule is exactly symmetric: x[::-1] == -x and w[::-1] == w.
+    Tests check it bit for bit against ``leggauss(384)``.
     """
-    c = np.zeros(order + 1)
-    c[-1] = 1.0
-    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
-    x = eigvalsh_tridiagonal(np.zeros(order),
-                             np.arange(1, order) * scl[:-1] * scl[1:])
-    dy = legval(x, c)
-    df = legval(x, legder(c))
-    x -= dy / df
-    fm = legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2. / w.sum()
-    return x, w
+    with resources.files(__package__).joinpath(
+            "gauss_legendre_384.npy").open("rb") as fh:
+        x, w = np.load(fh)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
 def _bump_profile(family, x):
@@ -390,7 +379,7 @@ def _bump_profile(family, x):
 
 @lru_cache(maxsize=8)
 def _bump_norm(family):
-    x, w = _gl_rule(_GL_ORDER)
+    x, w = _gl_rule()
     return float(np.sum(w * _bump_profile(family, x)))
 
 
@@ -398,7 +387,7 @@ def _bump_norm(family):
 def _weighted_density(family):
     """w_j rho(x_j) on the rule: rho_hat(k) is sum_j w_j rho(x_j) cos(k x_j)
     over sqrt(2 pi)."""
-    x, w = _gl_rule(_GL_ORDER)
+    x, w = _gl_rule()
     return w * (_bump_profile(family, x) / _bump_norm(family))
 
 
@@ -423,15 +412,16 @@ class Mollifier:
         """rho_hat(k) at any k; real since rho is symmetric.
 
         One cosine table over the rule, with the cosines taken on the
-        positive nodes only: the rule is exactly symmetric and cos is even,
-        so the negative-node half is the positive half mirrored, and the
-        table and its one matrix-vector product keep the bits of the full
-        table.  (Splitting the product into row chunks would not: the BLAS
+        positive nodes only: `_gl_rule` mirrors its shipped positive half,
+        so the rule is exactly symmetric and, cos being even, the table's
+        negative-node half is its positive half mirrored; the table and its
+        one matrix-vector product keep the bits of the full table.
+        (Splitting the product into row chunks would not: the BLAS
         matrix-vector kernel groups rows.)  ``regularize`` samples its
         uniform grid with `_fourier_on_grid` instead.
         """
         k = np.asarray(k, dtype=float)
-        x, _ = _gl_rule(_GL_ORDER)
+        x, _ = _gl_rule()
         table = np.empty(k.shape + x.shape)
         pos = table[..., _HALF:]
         np.multiply.outer(k, x[_HALF:], out=pos)
@@ -465,7 +455,7 @@ def _fourier_on_grid(mollifier: Mollifier, w):
     k = eps * np.abs(w)
     a = k[n // 2::s]
     b = (eps * (w[-1] - w[0]) / (n - 1)) * np.arange(s)
-    x, _ = _gl_rule(_GL_ORDER)
+    x, _ = _gl_rule()
     x = x[_HALF:]
     c = 2.0 * _weighted_density(mollifier.family)[_HALF:] / math.sqrt(2.0 * math.pi)
     ax, xb = np.multiply.outer(a, x), np.multiply.outer(x, b)

@@ -339,6 +339,25 @@ def test_unbounded_drive_frequency_is_exit_three(tmp_path, capsys, frequency,
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["simulate", "certify"])
+@pytest.mark.parametrize("gamma", [1e160, 1e300, math.inf],
+                         ids=["1e160", "1e300", "Infinity"])
+def test_lorentzian_gamma_squared_overflow_is_exit_two(tmp_path, capsys,
+                                                       gamma, mode):
+    # the schema accepts any positive gamma, but the spectral density takes
+    # gamma**2, which overflows a float above about 1.3e154: the config is
+    # refused at load instead of ending in an OverflowError traceback
+    doc = _shipped("lorentzian-desk.json")
+    doc["baths"][0]["kernel"]["terms"][0]["gamma"] = gamma
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert cli.main([mode, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "at baths/0/kernel" in err and "gamma**2" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # -- chain-map ---------------------------------------------------------------------
 
 def test_chain_map_flat_kernel_matches_legendre(tmp_path):

@@ -2,7 +2,9 @@
 
 `scipy.integrate` serves only the tabulated total variation, `scipy.special`
 nothing, `mpmath` only the arbitrary-precision flat-chain check, and
-`scipy.sparse.linalg` only the Lindblad oracle, which no CLI mode runs.  Each
+`scipy.sparse.linalg` only the Lindblad oracle, which no CLI mode runs.
+`scipy.linalg` serves no CLI process at all: the Gauss-Legendre rule is a
+shipped table and the chain's tridiagonal eigenproblems go to numpy.  Each
 check runs in a fresh interpreter, since this test session imports them.
 """
 
@@ -11,9 +13,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NARROW = ("scipy.integrate", "scipy.special", "mpmath",
-          "scipy.sparse.linalg")
+          "scipy.sparse.linalg", "scipy.linalg")
 
 
 def _loaded_after(code):
@@ -32,17 +36,28 @@ def test_cli_import_loads_no_narrow_module():
     assert _loaded_after("import nmk_sim.cli") == []
 
 
-def _cli_run(mode, tmp_path):
-    config = os.path.join(ROOT, "configs", "lorentzian-desk.json")
+def _cli_run(mode, tmp_path, config="lorentzian-desk.json"):
+    config = os.path.join(ROOT, "configs", config)
     return ("from nmk_sim import cli\n"
             f"assert cli.main([{mode!r}, '--config', {config!r}, "
             f"'--out', {str(tmp_path)!r}]) == 0")
 
 
 def test_lorentzian_certify_loads_no_narrow_module(tmp_path):
+    # certify's chain term solves its eigenproblems with numpy
     assert _loaded_after(_cli_run("certify", tmp_path)) == []
 
 
 def test_compare_oracle_loads_no_narrow_module(tmp_path):
     # the star oracle propagates with the chain's Taylor exponential
     assert _loaded_after(_cli_run("compare-oracle", tmp_path)) == []
+
+
+@pytest.mark.parametrize("mode, config", [
+    ("simulate", "driven-qubit.json"),
+    ("chain-map", "lorentzian-desk.json"),
+    ("compare-oracle", "feedback-delay.json"),
+    ("sweep", "convergence-sweep.json"),
+])
+def test_subcommand_loads_no_narrow_module(mode, config, tmp_path):
+    assert _loaded_after(_cli_run(mode, tmp_path, config)) == []

@@ -344,7 +344,7 @@ def test_mollifier_fourier_superpolynomial_decay():
 
 
 def test_gl_rule_matches_leggauss():
-    x, w = ker._gl_rule(384)
+    x, w = ker._gl_rule()
     ref_x, ref_w = leggauss(384)
     assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
 
