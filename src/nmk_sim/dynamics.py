@@ -297,6 +297,7 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
     h_const, profiled = build_hamiltonian_parts(model, chains, space)
     stack = PartStack([h_const] + [term for term, _ in profiled])
     states = _propagate(stack, [f for _, f in profiled], psi0, times)
+    del h_const, profiled, stack    # free the Hamiltonian before `_collect`
     return _collect(space, times, states, keep_states, oracle=False)
 
 

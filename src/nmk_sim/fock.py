@@ -27,9 +27,10 @@ from .errors import DimensionOverflow, ShapeMismatch
 
 STATE_CAP = 2**24
 # Largest assembled Hamiltonian, in estimated CSR bytes, that a run may build
-# (`hamiltonian_bytes`).  Assembly peaks at about 3x the finished matrix: a
-# 350 MB one at dim 1.4M peaked at 1.0 GB RSS.  The largest benchmark
-# Hamiltonian (dim 21,252) takes 3.3 MB.
+# (`hamiltonian_bytes`).  Assembly peaks at about 2.75x the finished matrix:
+# building a 75 MB one (3-qubit ring, dim 343,000, 3.87M nonzeros) raises
+# peak RSS by 206 MB.  The largest benchmark Hamiltonian (dim 21,252) takes
+# 3.3 MB.
 HAMILTONIAN_BYTES_CAP = 2**28
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -284,38 +285,35 @@ def enumerate_basis(n: int, d: int, baths: int, modes: int, cap: int) -> Truncat
     return TruncatedSpace(n, d, baths, modes, cap)
 
 
-def _lift(space: TruncatedSpace, bath: int, block, system) -> sp.csr_matrix:
-    """`system` (x) `block` on one bath, the identity on the other baths."""
-    def eye(size):
-        return sp.identity(size, format="csr", dtype=complex)
-    out = sp.kron(eye(space.block_size**bath), block, format="csr")
-    out = sp.kron(out, eye(space.block_size ** (space.baths - 1 - bath)),
-                  format="csr")
-    return sp.kron(sp.csr_matrix(system), out, format="csr")
-
-
-def _block(space: TruncatedSpace, rows, cols, vals) -> sp.csr_matrix:
-    """Block-size matrix from (row, col, value) arrays, zero values dropped."""
-    keep = vals != 0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(space.block_size,) * 2, dtype=complex)
-
-
 def _moves(space: TruncatedSpace, to_next: bool = False):
     """(row, mode j, target row) of every quantum leaving an occupied mode j:
-    n -> n - e_j, or n -> n - e_j + e_{j+1} with `to_next`."""
-    row, mode = np.nonzero(space.table[:, :space.modes - to_next])
-    occ = space.table[row]
-    occ[np.arange(row.size), mode] -= 1
-    if to_next:
-        occ[np.arange(row.size), mode + 1] += 1
-    return row, mode, _rank(occ, space.cap)
+    n -> n - e_j, or n -> n - e_j + e_{j+1} with `to_next`.  Both keep the
+    table's order and are onto the rows below the cap, or with n_{j+1} >= 1."""
+    table = space.table
+    mode, row = np.nonzero(table[:, :space.modes - to_next].T)
+    targets = table[:, 1:].T if to_next else np.broadcast_to(
+        table.sum(axis=1) < space.cap, (space.modes, len(table)))
+    return row, mode, np.nonzero(targets)[1]
 
 
-def _system_on_space(space: TruncatedSpace, mat) -> sp.csr_matrix:
-    return sp.kron(sp.csr_matrix(mat),
-                   sp.identity(space.env_dim, format="csr", dtype=complex),
-                   format="csr")
+def _lift(space: TruncatedSpace, bath: int, system, rows, cols, vals):
+    """CSR `system` (x) (block (rows, cols, vals) on one bath, zeros dropped)
+    (x) identity on the other baths: entries (s, s') and (b, b') give row
+    (s, l, b, r), column (s', l, b', r) for each l (baths before) and r
+    (after)."""
+    keep = vals != 0
+    s_row, s_col = np.nonzero(system)
+    right = space.block_size ** (space.baths - 1 - bath)
+    shift = np.arange(space.env_dim, dtype=np.int32).reshape(
+        -1, space.block_size, right)[:, 0]          # indices (l, 0, r)
+
+    def index(s, b):            # of every (system, block) pair, then l and r
+        at = np.add.outer(s * space.env_dim, b[keep] * right)
+        return np.add.outer(at.astype(np.int32), shift).ravel()
+
+    vals = np.multiply.outer(system[s_row, s_col], vals[keep]).ravel()
+    return sp.csr_matrix((np.repeat(vals, shift.size), (
+        index(s_row, rows), index(s_col, cols))), shape=(space.dimension,) * 2)
 
 
 def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
@@ -337,26 +335,26 @@ def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
     hop_amp = np.sqrt(table[hop_from, hop_mode]
                       * (table[hop_from, hop_mode + 1] + 1))
     diag = np.arange(space.block_size)
+    quad_rows = np.concatenate([diag, hop_to, hop_from])
+    quad_cols = np.concatenate([diag, hop_from, hop_to])
 
     dim = space.dimension
     h_const = sp.csr_matrix((dim, dim), dtype=complex)
     for alpha, bath in enumerate(baths):
         hop = np.asarray(bath.hopping)[hop_mode] * hop_amp
-        quadratic = _block(space, np.concatenate([diag, hop_to, hop_from]),
-                           np.concatenate([diag, hop_from, hop_to]),
-                           np.concatenate([table @ np.asarray(bath.onsite),
-                                           hop, np.conj(hop)]))
-        h_const = h_const + _lift(space, alpha, quadratic,
-                                  np.eye(space.sys_dim))
-        raise_g = _block(space, row, lower,
+        quadratic = np.concatenate([table @ np.asarray(bath.onsite), hop,
+                                    np.conj(hop)])
+        h_const = h_const + _lift(space, alpha, np.eye(space.sys_dim),
+                                  quad_rows, quad_cols, quadratic)
+        coupling = _lift(space, alpha, model.jump_matrix(alpha), row, lower,
                          np.asarray(bath.couplings)[mode] * raise_amp)
-        coupling = _lift(space, alpha, raise_g, model.jump_matrix(alpha))
-        h_const = h_const + coupling + coupling.conj().T
+        h_const = h_const + coupling
+        h_const = h_const + coupling.conj().T
 
     profiled = []
     for support, mat, profile in model.hs_terms:
-        term = _system_on_space(
-            space, embed_system_operator(model.n, model.d, support, mat))
+        mat = embed_system_operator(model.n, model.d, support, mat)
+        term = _lift(space, 0, mat, diag, diag, np.ones(space.block_size))
         if profile.is_constant:
             h_const = h_const + term
         else:

@@ -61,12 +61,12 @@ class MemoryKernel:
         if self.kind == LORENTZIAN_SUM:
             if not self.lorentzians:
                 raise ValueError("lorentzian_sum kernel needs at least one term")
-            for a, _, g in self.lorentzians:
+            for a, w0, g in self.lorentzians:
                 if a <= 0 or g <= 0:
                     raise ValueError("lorentzian terms need alpha > 0 and gamma > 0")
-                if not math.isfinite(g * g):    # the density takes gamma**2
-                    raise ValueError("lorentzian terms need gamma**2 in the "
-                                     "float range")
+                if not math.isfinite(g * g + w0 * w0):    # as the density
+                    raise ValueError("lorentzian terms need gamma**2 + "
+                                     "omega**2 in the float range")
         elif self.kind == DELTA_TRAIN:
             if not self.atoms:
                 raise ValueError("delta_train kernel needs at least one atom")

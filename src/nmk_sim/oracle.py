@@ -64,12 +64,12 @@ def star_evolve(model: SystemModel, stars, space: TruncatedSpace, psi0,
                 keep_states: bool = False) -> Trajectory:
     """Unitary trajectory on the star-geometry truncated space, recorded on
     `output_times` like the chain's, so the two pair up row by row."""
-    h = _star_hamiltonian(model, list(stars), space)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (space.dimension,):
         raise ShapeMismatch("initial state has wrong dimension")
     times = output_times(t_final, out_step)
-    states = _propagate_const(h, psi0, times)
+    states = _propagate_const(_star_hamiltonian(model, list(stars), space),
+                              psi0, times)    # freed before `_collect`
     return _collect(space, times, states, keep_states, oracle=True)
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import time
 import tracemalloc
+import warnings
 
 import jsonschema
 import numpy as np
@@ -340,22 +341,38 @@ def test_unbounded_drive_frequency_is_exit_three(tmp_path, capsys, frequency,
 
 
 @pytest.mark.parametrize("mode", ["simulate", "certify"])
-@pytest.mark.parametrize("gamma", [1e160, 1e300, math.inf],
-                         ids=["1e160", "1e300", "Infinity"])
+@pytest.mark.parametrize("field, value", [
+    ("gamma", 1e160), ("gamma", 1e300), ("gamma", math.inf),
+    ("omega", 1e155), ("omega", -1e200), ("omega", math.inf),
+], ids=["1e160", "1e300", "Infinity",
+        "omega-1e155", "omega--1e200", "omega-Infinity"])
 def test_lorentzian_gamma_squared_overflow_is_exit_two(tmp_path, capsys,
-                                                       gamma, mode):
-    # the schema accepts any positive gamma, but the spectral density takes
-    # gamma**2, which overflows a float above about 1.3e154: the config is
-    # refused at load instead of ending in an OverflowError traceback
+                                                       field, value, mode):
+    # the schema accepts any positive gamma and any center omega, but the
+    # spectral density takes (w - omega)**2 + gamma**2, which overflows a
+    # float above about 1.3e154: the config is refused at load instead of
+    # ending in an OverflowError traceback or numpy overflow warnings
     doc = _shipped("lorentzian-desk.json")
-    doc["baths"][0]["kernel"]["terms"][0]["gamma"] = gamma
+    doc["baths"][0]["kernel"]["terms"][0][field] = value
     path = _write(tmp_path, doc)
     out = tmp_path / "o"
-    assert cli.main([mode, "--config", path, "--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([mode, "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "at baths/0/kernel" in err and "gamma**2" in err
-    assert "Traceback" not in err
+    assert "at baths/0/kernel" in err and f"{field}**2" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["simulate", "certify"])
+def test_lorentzian_center_in_float_range_runs(tmp_path, mode):
+    # a center far outside the cutoff whose square still fits a float runs
+    doc = _shipped("lorentzian-desk.json")
+    doc["baths"][0]["kernel"]["terms"][0]["omega"] = 1e150
+    path = _write(tmp_path, doc)
+    assert cli.main([mode, "--config", path, "--out", str(tmp_path / "o")]) == 0
 
 
 # -- chain-map ---------------------------------------------------------------------

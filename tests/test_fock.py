@@ -430,14 +430,20 @@ def _compare_builders(geometry, model, baths, space, exact=True):
                               ref_const, exact)
 
 
+# (cap, baths, modes): every cap and bath count at 3 modes, and 1 mode
+_BUILDER_CASES = ([(cap, baths, 3) for cap in (0, 1, 2, 3) for baths in (1, 2, 3)]
+                  + [(cap, baths, 1) for cap in (1, 3) for baths in (1, 2)])
+
+
 @pytest.mark.parametrize("geometry", ["chain", "star"])
-@pytest.mark.parametrize("baths", [1, 2])
-@pytest.mark.parametrize("cap", [1, 2, 3])
-def test_builder_matches_reference(geometry, baths, cap):
+@pytest.mark.parametrize("cap, baths, modes", _BUILDER_CASES,
+                         ids=[f"{c}-{b}" + ("" if m == 3 else f"-modes{m}")
+                              for c, b, m in _BUILDER_CASES])
+def test_builder_matches_reference(geometry, baths, cap, modes):
     rng = np.random.default_rng(100 * baths + cap)
-    jumps = (((0,), SIGMA_MINUS, 0), ((0,), SIGMA_X, 1))[:baths]
+    jumps = (((0,), SIGMA_MINUS, 0), ((0,), SIGMA_X, 1),
+             ((0,), SIGMA_MINUS, 2))[:baths]
     model = SystemModel(1, 2, (((0,), 0.5 * SIGMA_Z, TimeProfile()),), jumps)
-    modes = 3
     space = enumerate_basis(1, 2, baths, modes, cap)
     _compare_builders(geometry, model,
                       [_random_bath(geometry, rng, modes) for _ in range(baths)],
@@ -477,14 +483,36 @@ def test_builder_time_profiled_system_term():
     _compare_builders("chain", model, [_random_bath("chain", rng, 4)], space)
 
 
-@pytest.mark.parametrize("modes,cap", [(1, 0), (1, 4), (3, 3), (6, 2),
-                                       (20, 4), (512, 1)])
+_TABLE_SIZES = [(1, 0), (1, 4), (3, 3), (6, 2), (20, 4), (512, 1)]
+
+
+@pytest.mark.parametrize("modes,cap", _TABLE_SIZES)
 def test_rank_inverts_table(modes, cap):
     table = fock._occupation_table(modes, cap)
     assert table.shape == (math.comb(modes + cap, cap), modes)
     assert np.array_equal(fock._rank(table, cap), np.arange(len(table)))
     if len(table) < 2000:
         assert np.array_equal(table, _ref_table(modes, cap)[0])
+
+
+@pytest.mark.parametrize("modes,cap", _TABLE_SIZES)
+@pytest.mark.parametrize("to_next", [False, True], ids=["lower", "hop"])
+def test_moves_follow_table_order(modes, cap, to_next):
+    space = enumerate_basis(1, 2, 1, modes, cap)
+    table = space.table
+    row, mode, target = fock._moves(space, to_next)
+    step = np.zeros((row.size, modes + 1), dtype=np.int64)
+    step[np.arange(row.size), mode] = 1
+    step[np.arange(row.size), mode + 1] -= to_next
+    assert np.array_equal(table[target], table[row] - step[:, :modes])
+    # each (row, mode) holding a quantum moves exactly once
+    sources = np.zeros(table.shape, dtype=int)
+    np.add.at(sources, (row, mode), 1)
+    if to_next:
+        assert np.array_equal(sources[:, -1], np.zeros(len(table)))
+        sources = sources[:, :-1]
+        table = table[:, :-1]
+    assert np.array_equal(sources, table != 0)
 
 
 def test_space_table_released_with_space():
