@@ -144,6 +144,7 @@ def _lanczos_jacobi(lam, wts, n, scale):
     basis = [q]
     alpha = np.empty(n)
     beta = np.empty(max(n - 1, 0))
+    proj = np.empty_like(q)
     for k in range(n):
         r = lam * basis[k]
         alpha[k] = float(np.dot(basis[k], r))
@@ -152,8 +153,9 @@ def _lanczos_jacobi(lam, wts, n, scale):
         r = r - alpha[k] * basis[k]
         if k > 0:
             r = r - beta[k - 1] * basis[k - 1]
-        for b in basis:  # full reorthogonalization
-            r = r - np.dot(b, r) * b
+        for b in basis:  # full reorthogonalization, in place: r is fresh
+            np.multiply(np.dot(b, r), b, out=proj)
+            r -= proj
         nrm = float(np.linalg.norm(r))
         if nrm <= 1e-13 * scale:
             raise RecursionBreakdown(k + 1, nrm**2)

@@ -416,9 +416,9 @@ class Mollifier:
         so the rule is exactly symmetric and, cos being even, the table's
         negative-node half is its positive half mirrored; the table and its
         one matrix-vector product keep the bits of the full table.
-        (Splitting the product into row chunks would not: the BLAS
-        matrix-vector kernel groups rows.)  ``regularize`` samples its
-        uniform grid with `_fourier_on_grid` instead.
+        `mollifier_fourier` bounds the table by calling this on blocks of
+        `_FOURIER_BLOCK` points.  ``regularize`` samples its uniform grid
+        with `_fourier_on_grid` instead.
         """
         k = np.asarray(k, dtype=float)
         x, _ = _gl_rule()
@@ -470,10 +470,38 @@ def _fourier_on_grid(mollifier: Mollifier, w):
     return mirror(val) + d * mirror(der)
 
 
+# Points per `Mollifier.fourier` call in `mollifier_fourier`.  A block's
+# (384 x 384) cosine table is 1.2 MB, so it fits in L2; 384 is a multiple of
+# the 4 rows the BLAS matrix-vector kernel groups; and every chain-map level
+# has a multiple of 96 nodes (12 nodes x max(8N, 32) panels x 2^j), so its
+# blocks go through the same kernel row groups as one table of all its nodes.
+_FOURIER_BLOCK = 384
+
+
 def mollifier_fourier(mollifier: Mollifier, omega):
-    """Fourier transform of the scaled mollifier, rho_hat(omega * eps)."""
-    omega = np.asarray(omega, dtype=float)
-    return mollifier.fourier(omega * mollifier.epsilon)
+    """Fourier transform of the scaled mollifier, rho_hat(omega * eps).
+
+    The points, flattened, go to `Mollifier.fourier` in consecutive blocks
+    of `_FOURIER_BLOCK` from point 0; the last block takes the remainder,
+    so it holds 384 to 767 points, and fewer than 384 points are one block.
+    Each block's rows then meet the BLAS matrix-vector kernel in the same
+    groups of 4 as in one table of all the points, which keeps its bits,
+    while the table stays (384 x 384) instead of (points x 384).  A short
+    trailing block would not: numpy/OpenBLAS take a different kernel for a
+    1-row product.  A 0-d input returns a float, any other input an array
+    of its shape.
+    """
+    k = np.asarray(omega, dtype=float) * mollifier.epsilon
+    if k.ndim == 0:
+        return mollifier.fourier(k)
+    flat = k.ravel()
+    out = np.empty(flat.shape)
+    blocks = max(flat.size // _FOURIER_BLOCK, 1)
+    for b in range(blocks):
+        start = b * _FOURIER_BLOCK
+        stop = start + _FOURIER_BLOCK if b + 1 < blocks else flat.size
+        out[start:stop] = mollifier.fourier(flat[start:stop])
+    return out.reshape(k.shape)
 
 
 # -- regularized couplings ---------------------------------------------------

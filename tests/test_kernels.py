@@ -1,5 +1,9 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -374,6 +378,73 @@ def test_fourier_on_grid_matches_direct_sum(family, eps, n):
         w = np.linspace(-omega_eps / eps, omega_eps / eps, n)
         got = ker._fourier_on_grid(mol, w)
         assert np.max(np.abs(got - mol.fourier(eps * w))) <= 2e-15
+
+
+@pytest.mark.parametrize("family", [ker.STANDARD_BUMP, ker.BUMP_SQUARED])
+@pytest.mark.parametrize("n", [384, 576, 768, 1344, 3840, 12288])
+def test_mollifier_fourier_blocks_keep_table_bits(family, n):
+    # chain-map levels hold a multiple of 96 nodes; at these sizes the
+    # blocks keep the one table's bits at one and at two BLAS threads
+    mol = ker.Mollifier(0.02, family)
+    w = np.random.default_rng(n).uniform(-8000.0, 8000.0, n)
+    assert np.array_equal(ker.mollifier_fourier(mol, w), mol.fourier(w * 0.02))
+
+
+_ONE_THREAD_PROBE = """
+import json, numpy as np
+from nmk_sim import kernels as ker
+bad = []
+for family in (ker.STANDARD_BUMP, ker.BUMP_SQUARED):
+    mol = ker.Mollifier(0.02, family)
+    for n in (1, 2, 383, 385, 767, 769, 8193, 12289):
+        w = np.random.default_rng(n).uniform(-8000.0, 8000.0, n)
+        if not np.array_equal(ker.mollifier_fourier(mol, w), mol.fourier(w * 0.02)):
+            bad.append([family, n])
+print(json.dumps(bad))
+"""
+
+
+def test_mollifier_fourier_blocks_keep_table_bits_one_thread():
+    # sizes off the chain levels, where a block boundary meets a remainder;
+    # at one BLAS thread only, since at two threads OpenBLAS splits the
+    # one-table product at 8193 and 12289 points itself across threads,
+    # in row groups that differ from the blocks'
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _ONE_THREAD_PROBE],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+def test_mollifier_fourier_peak_memory():
+    # one table of oracle-star's 12,288-node level once took 54 MB
+    mol = ker.Mollifier(0.02, ker.STANDARD_BUMP)
+    w = np.linspace(-1000.0, 1000.0, 12288)
+    ker.mollifier_fourier(mol, w[:384])     # warm the rule caches
+    tracemalloc.start()
+    try:
+        ker.mollifier_fourier(mol, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_mollifier_fourier_shape_contract():
+    mol = ker.Mollifier(0.05)
+    assert isinstance(ker.mollifier_fourier(mol, 3.0), float)
+    assert ker.mollifier_fourier(mol, 3.0) == mol.fourier(3.0 * 0.05)
+    one = ker.mollifier_fourier(mol, [3.0])
+    assert one.shape == (1,)
+    assert one[0] == pytest.approx(ker.mollifier_fourier(mol, 3.0), rel=0, abs=1e-16)
+    w = np.random.default_rng(7).uniform(-4000.0, 4000.0, (23, 41))
+    got = ker.mollifier_fourier(mol, w)
+    assert got.shape == w.shape
+    assert np.array_equal(got, ker.mollifier_fourier(mol, w.ravel()).reshape(w.shape))
+    # numpy's stacked product groups the one table's rows per row of w,
+    # so the 2-D table agrees to rounding, not bit for bit
+    assert np.max(np.abs(got - mol.fourier(w * 0.05))) <= 1e-16
 
 
 def test_regularize_peak_memory(lorentzian_kernel):
