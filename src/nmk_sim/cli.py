@@ -31,7 +31,7 @@ from . import fock
 from . import kernels as ker
 from . import oracle as orc
 from .errors import (DimensionOverflow, NmkSimError, SchemaViolation,
-                     StepControlFailure, UnsupportedInitialState)
+                     ShapeMismatch, StepControlFailure, UnsupportedInitialState)
 
 log = logging.getLogger("nmk_sim")
 
@@ -125,7 +125,7 @@ class ExperimentConfig:
                           term["bath"]))
         try:
             model = fock.SystemModel(n, d, tuple(hs_terms), tuple(jumps))
-        except (ValueError, NmkSimError) as exc:
+        except (ValueError, ShapeMismatch) as exc:    # a size refusal exits 3
             raise SchemaViolation(f"at system: {exc}") from exc
 
         baths = doc["baths"]

@@ -20,33 +20,13 @@ from .errors import (
     StepControlFailure,
     UnsupportedInitialState,
 )
-from .fock import (
-    SystemModel,
-    TruncatedSpace,
-    build_hamiltonian_parts,
-    embed_system_operator,
-)
+from .fock import SystemModel, TruncatedSpace, build_hamiltonian_parts
 from .kernels import (
     error_functions,
     total_variation,
     weighted_density_integral,
 )
 
-# Every run propagates by one Taylor series in time (`_propagate`), its
-# Hamiltonian parts stacked into one operator (`PartStack`).  One piece of a
-# dt = 0.2 interval of the driven desk qubit (sigma_x cos(2t), two parts) and
-# of its constant part alone, best of 40 x 50 pieces with one BLAS thread on
-# a 2-vCPU x86 KVM guest:
-#    dim    nnz   degree   driven dense / CSR   degree   constant dense / CSR
-#     30    128     24        154 /  201 us        20          61 /  99 us
-#     56    264     24        191 /  223 us        21          77 / 111 us
-#     72    350     24        229 /  221 us        21          94 / 116 us
-#     90    448     24        302 /  235 us        21         114 / 124 us
-#    132    680     24        358 /  245 us        21         201 / 166 us
-#    330   2008     27       3740 /  418 us        25         914 / 336 us
-# A dense product pays (parts x dim) x dim per order, CSR a fixed call cost;
-# driven pieces cross between 56 and 72, constant ones between 90 and 132.
-DENSE_EXPM_DIM = 64
 # Pieces of norm up to TAYLOR_PIECE_NORM = 4 (`_taylor_plan`) need degree
 # about 31, about 8 matrix-vector products per unit of norm against about
 # 18 for pieces of norm 1, and no Taylor term of a piece exceeds e^4 ~ 55
@@ -133,17 +113,15 @@ def measure_moments(space: TruncatedSpace, psi):
 
 class PartStack:
     """Hamiltonian parts P_0, P_1, ..., P_K stacked vertically into one
-    ((K + 1) dim, dim) operator, dense at or below `DENSE_EXPM_DIM` and CSR
-    above it, so that one product returns every P_k phi.  Every part must be
-    Hermitian: `SystemModel` rejects non-Hermitian system terms and the bath
-    part is Hermitian by construction, so each part's 1-norm, taken once
-    here, bounds its 2-norm."""
+    ((K + 1) dim, dim) CSR operator, so that one product returns every
+    P_k phi.  Every part must be Hermitian: `SystemModel` rejects
+    non-Hermitian system terms and the bath part is Hermitian by
+    construction, so each part's 1-norm, taken once here, bounds its
+    2-norm."""
 
     def __init__(self, parts):
         self.norms = np.array([float(abs(p).sum(axis=0).max()) for p in parts])
-        stack = sp.vstack(parts, format="csr")
-        self._stack = (stack.toarray() if parts[0].shape[0] <= DENSE_EXPM_DIM
-                       else stack)
+        self._stack = sp.vstack(parts, format="csr")
 
     def products(self, phi):
         """(K + 1, dim) array whose row k is P_k phi."""
@@ -545,11 +523,8 @@ def hs_commutator_sup(model: SystemModel, bath: int) -> float:
     """A-priori bound on sup_s ||[H_S(s), L_bath]||: the sum over system
     terms of ||[H_i, L_bath]||, since every profile is at most 1 in size."""
     l_mat = model.jump_matrix(bath)
-    total = 0.0
-    for support, mat, _ in model.hs_terms:
-        h = embed_system_operator(model.n, model.d, support, mat)
-        total += float(np.linalg.norm(h @ l_mat - l_mat @ h, 2))
-    return total
+    return sum((float(np.linalg.norm(h @ l_mat - l_mat @ h, 2))
+                for h, _ in model.hs_operators), 0.0)
 
 
 def regularization_term(model: SystemModel, kernels, eps: float, t: float,

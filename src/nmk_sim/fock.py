@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,15 +90,25 @@ class TimeProfile:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Qudit register, k-local Hamiltonian terms, and jump operators."""
+    """Qudit register, k-local Hamiltonian terms, and jump operators, each
+    validated and embedded once (read-only `hs_operators`, `jump_operators`)."""
 
     n: int
     d: int
     hs_terms: tuple = ()     # (support tuple, matrix, TimeProfile)
     jumps: tuple = ()        # (support tuple, matrix, bath index)
+    hs_operators: tuple = field(init=False, repr=False, compare=False)
+    jump_operators: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        terms = []
+        count = len(self.hs_terms) + len({b for _, _, b in self.jumps})
+        if (size := 16 * count * self.sys_dim**2) > HAMILTONIAN_BYTES_CAP:
+            raise DimensionOverflow(
+                f"system register of {size / 2**20:.0f} MiB ({count} operators"
+                f" at dimension {self.sys_dim}) exceeds cap "
+                f"{HAMILTONIAN_BYTES_CAP / 2**20:.0f} MiB")
+        embed = partial(embed_system_operator, self.n, self.d)
+        terms, operators = [], []
         for support, mat, profile in self.hs_terms:
             mat = np.asarray(mat, dtype=complex)
             self._check_local(support, mat)
@@ -107,17 +117,25 @@ class SystemModel:
             if not isinstance(profile, TimeProfile):
                 profile = TimeProfile(*profile) if profile else TimeProfile()
             terms.append((tuple(support), mat, profile))
-        object.__setattr__(self, "hs_terms", tuple(terms))
-        jumps = []
+            operators.append((embed(support, mat), profile))
+        jumps, summed = [], {}
         for support, mat, bath in self.jumps:
             mat = np.asarray(mat, dtype=complex)
             self._check_local(support, mat)
             jumps.append((tuple(support), mat, int(bath)))
+            summed[int(bath)] = summed.get(int(bath), 0) + embed(support, mat)
+        for op in [op for op, _ in operators] + list(summed.values()):
+            op.flags.writeable = False
+        object.__setattr__(self, "hs_terms", tuple(terms))
         object.__setattr__(self, "jumps", tuple(jumps))
+        object.__setattr__(self, "hs_operators", tuple(operators))
+        object.__setattr__(self, "jump_operators", summed)
 
     def _check_local(self, support, mat):
         if any(q < 0 or q >= self.n for q in support):
             raise ValueError("support references qudits outside the register")
+        if len(set(support)) != len(support):
+            raise ValueError("support qudits must be distinct")
         dim = self.d ** len(support)
         if mat.shape != (dim, dim):
             raise ShapeMismatch(
@@ -130,11 +148,9 @@ class SystemModel:
 
     def jump_matrix(self, bath: int):
         """Full-register jump operator of the given bath (dense)."""
-        out = np.zeros((self.sys_dim, self.sys_dim), dtype=complex)
-        for support, mat, b in self.jumps:
-            if b == bath:
-                out += embed_system_operator(self.n, self.d, support, mat)
-        return out
+        if bath in self.jump_operators:
+            return self.jump_operators[bath]
+        return np.zeros((self.sys_dim, self.sys_dim), dtype=complex)
 
     def jump_norm(self, bath: int) -> float:
         return float(np.linalg.norm(self.jump_matrix(bath), 2))
@@ -142,8 +158,8 @@ class SystemModel:
     def hs_matrix(self, t: float = 0.0):
         """Dense H_S(t) on the full register."""
         out = np.zeros((self.sys_dim, self.sys_dim), dtype=complex)
-        for support, mat, profile in self.hs_terms:
-            out += profile(t) * embed_system_operator(self.n, self.d, support, mat)
+        for op, profile in self.hs_operators:
+            out += profile(t) * op
         return out
 
     @property
@@ -152,24 +168,14 @@ class SystemModel:
 
 
 def embed_system_operator(n: int, d: int, support, mat):
-    """Embed an operator on `support` into the full d**n register (dense)."""
-    support = tuple(support)
-    if len(set(support)) != len(support):
-        raise ValueError("support qudits must be distinct")
-    mat = np.asarray(mat, dtype=complex)
-    k = len(support)
-    rest = [q for q in range(n) if q not in support]
-    # tensordot axes: (support rows, support cols, rest rows, rest cols)
-    eye = np.eye(d ** len(rest), dtype=complex).reshape((d,) * (2 * len(rest)))
-    full = np.tensordot(mat.reshape((d,) * (2 * k)), eye, axes=0)
-    # reorder to (rows in support+rest order, cols likewise) ...
-    axes = (list(range(k)) + list(range(2 * k, 2 * k + len(rest)))
-            + list(range(k, 2 * k)) + list(range(2 * k + len(rest), 2 * n)))
-    full = full.transpose(axes)
-    # ... then to natural qudit order on both row and column groups
-    row_order = list(support) + rest
-    perm = [row_order.index(q) for q in range(n)]
-    full = full.transpose(perm + [n + p for p in perm])
+    """Embed an operator on distinct `support` qudits into the full d**n
+    register (dense): mat (x) identity on the other qudits, its row and
+    column axes permuted from (support, rest) to natural qudit order."""
+    full = np.kron(np.asarray(mat, dtype=complex),
+                   np.eye(d ** (n - len(support))))
+    order = list(support) + [q for q in range(n) if q not in support]
+    perm = [order.index(q) for q in range(n)]
+    full = full.reshape((d,) * (2 * n)).transpose(perm + [n + p for p in perm])
     return full.reshape(d**n, d**n)
 
 
@@ -236,6 +242,11 @@ class TruncatedSpace:
             raise DimensionOverflow(
                 f"dimension {self.dimension} exceeds cap {STATE_CAP}"
             )
+        if (size := 8 * self.block_size * self.modes) > HAMILTONIAN_BYTES_CAP:
+            raise DimensionOverflow(
+                f"occupation table of {size / 2**20:.0f} MiB ({self.block_size}"
+                f" rows of {self.modes} modes) exceeds cap "
+                f"{HAMILTONIAN_BYTES_CAP / 2**20:.0f} MiB")
         object.__setattr__(self, "table",
                            _occupation_table(self.modes, self.cap))
 
@@ -352,8 +363,7 @@ def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
         h_const = h_const + coupling.conj().T
 
     profiled = []
-    for support, mat, profile in model.hs_terms:
-        mat = embed_system_operator(model.n, model.d, support, mat)
+    for mat, profile in model.hs_operators:
         term = _lift(space, 0, mat, diag, diag, np.ones(space.block_size))
         if profile.is_constant:
             h_const = h_const + term
@@ -365,25 +375,31 @@ def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
 def hamiltonian_bytes(model: SystemModel, space: TruncatedSpace) -> int:
     """Upper estimate of the CSR bytes of `build_hamiltonian_parts`' output.
 
-    Sums the nonzeros of every lifted block, known from the occupation table
-    before anything is assembled: each bath's quadratic form (diagonal and
-    hops) on every system state, each jump term and its adjoint against the
-    raising block, and each system term on every environment state.  A
-    nonzero takes 16 bytes of complex value and 4 of column index.
+    Counts the nonzeros of every lifted block, known from the occupation
+    table and the register's operators before anything is assembled.  Every
+    bath's onsite energies and each constant system term's diagonal share
+    the constant part's diagonal, at most `dimension` entries, counted once.
+    Off it: each bath's hops on every system state, each jump operator and
+    its adjoint against the raising block, and each constant system term on
+    every environment state.  Each profiled system term is a part of its
+    own, counted whole.  A nonzero takes 16 bytes of complex value and 4 of
+    column index, and each part 4 (dimension + 1) bytes of row pointers.
     """
     occupied = int(np.count_nonzero(space.table))
     hops = int(np.count_nonzero(space.table[:, :-1]))
     other_baths = space.block_size ** (space.baths - 1)
-
-    def system_nnz(terms):
-        return sum(int(np.count_nonzero(mat))
-                   * model.d ** (model.n - len(support))
-                   for support, mat, _ in terms)
-
-    bath_terms = (space.baths * space.sys_dim * (space.block_size + 2 * hops)
-                  + 2 * occupied * system_nnz(model.jumps))
-    nnz = other_baths * bath_terms + space.env_dim * system_nnz(model.hs_terms)
-    return 20 * nnz + 4 * (space.dimension + 1)
+    jumps = sum(int(np.count_nonzero(op))
+                for op in model.jump_operators.values())
+    bath_terms = 2 * (space.baths * space.sys_dim * hops + occupied * jumps)
+    nnz = space.dimension + other_baths * bath_terms
+    parts = 1
+    for op, profile in model.hs_operators:
+        nnz += space.env_dim * int(np.count_nonzero(op))
+        if profile.is_constant:
+            nnz -= space.env_dim * int(np.count_nonzero(np.diagonal(op)))
+        else:
+            parts += 1
+    return 20 * nnz + 4 * (space.dimension + 1) * parts
 
 
 # -- initial environment states ----------------------------------------------
@@ -394,8 +410,12 @@ class InitialEnvState:
 
     ``amplitudes`` are chain-mode coefficients (single photon: projection of
     a frequency-domain wavepacket onto the mode functions; coherent:
-    displacements).  ``residual`` is the squared weight of the wavepacket
-    outside the chain span, reported into the initialization error budget.
+    displacements).  ``residual`` is the norm of the wavepacket outside the
+    chain span: the CLI stores the square root of `project_wavepacket`'s
+    squared residual.  `assemble_initial_state` adds it to the weight lost
+    for a single photon; for a coherent state it adds the squared tail
+    weight 1 - ||vec||^2 instead (no budget reads that value: certify
+    refuses coherent states).
     """
 
     kind: str = "vacuum"              # vacuum | single_photon | coherent

@@ -237,6 +237,64 @@ def test_oversized_star_space_fails_before_chain_run(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+def test_repeated_support_qudit_is_exit_two(tmp_path, capsys):
+    doc = _shipped("lorentzian-desk.json")
+    zz = [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
+          [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    doc["system"]["n"] = 2
+    doc["system"]["hamiltonian"].append({"support": [0, 0],
+                                         "matrix": {"re": zz}})
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "at system" in err and "distinct" in err
+    assert "Traceback" not in err
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["simulate", "certify"])
+def test_oversized_register_fails_before_any_work(tmp_path, capsys, mode):
+    # a 13-qubit register passes every space check at one mode and cap 1,
+    # but its two operators would take 1 GiB each and its jump norm a dense
+    # 8192 x 8192 SVD
+    doc = _shipped("lorentzian-desk.json")
+    doc["system"]["n"] = 13
+    doc.update(modes=1, particle_cap=1)
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = cli.main([mode, "--config", path, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "system register" in err and "exceeds cap" in err
+    assert time.perf_counter() - start < 5.0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, field, modes", [
+    ("compare-oracle", "star_modes", 512),     # star table: 515 MiB
+    ("simulate", "modes", 2000),               # chain table: 30,563 MiB
+])
+def test_oversized_occupation_table_fails_before_any_work(tmp_path, capsys,
+                                                          mode, field, modes):
+    doc = _shipped("lorentzian-desk.json")
+    if field == "star_modes":
+        doc["oracle"]["star_modes"] = modes
+    else:
+        doc["modes"] = modes
+    doc["particle_cap"] = 2
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = cli.main([mode, "--config", path, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "occupation table" in err and "exceeds cap" in err
+    assert time.perf_counter() - start < 5.0
+    assert not (out / "trajectory.csv").exists()
+
+
 def _ring_doc(modes):
     """Three qubits in a ZZ ring, one sigma_x jump into a desk bath per site."""
     zz = [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],

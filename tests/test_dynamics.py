@@ -153,14 +153,11 @@ def _driven_qubit(lorentzian_coupling, modes, cap):
     return model, [chain], space, _vacuum_start(space)
 
 
-@pytest.mark.parametrize("modes", [4, 8], ids=["dim30", "dim90"])
-@pytest.mark.parametrize("dense_dim", [100, 0], ids=["dense", "csr"])
-def test_driven_run_matches_ode_reference(monkeypatch, ode_states,
-                                          lorentzian_coupling, modes,
-                                          dense_dim):
-    # the driven case of acceptance criterion 5 to t = 2, dense and CSR
+@pytest.mark.parametrize("modes", [4, 8], ids=["csr-dim30", "csr-dim90"])
+def test_driven_run_matches_ode_reference(ode_states, lorentzian_coupling,
+                                          modes):
+    # the driven case of acceptance criterion 5 to t = 2
     model, chains, space, psi0 = _driven_qubit(lorentzian_coupling, modes, 2)
-    monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", dense_dim)
     traj = evolve(model, chains, space, psi0, 2.0, out_step=0.2,
                   keep_states=True).validate()
     h_const, profiled = fock.build_hamiltonian_parts(model, chains, space)
@@ -169,19 +166,10 @@ def test_driven_run_matches_ode_reference(monkeypatch, ode_states,
     assert np.max(np.linalg.norm(traj.states - want, axis=1)) < 1e-13
 
 
-def test_driven_dim_90_run_takes_no_krylov(monkeypatch, lorentzian_coupling):
-    # above DENSE_EXPM_DIM the parts share one CSR pattern and every
-    # exponential is a Taylor series on the vector, as in dense storage;
-    # the propagator binds no scipy exponential at all
+def test_driven_dim_90_run_takes_no_krylov():
+    # every exponential is a Taylor series on the vector: the propagator
+    # binds no scipy exponential at all
     assert not hasattr(dyn, "expm_multiply")
-    model, chains, space, psi0 = _driven_qubit(lorentzian_coupling, 8, 2)
-    assert space.dimension == 90 > dyn.DENSE_EXPM_DIM
-    sparse = evolve(model, chains, space, psi0, 0.4, out_step=0.2,
-                    keep_states=True)
-    monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", 100)
-    dense = evolve(model, chains, space, psi0, 0.4, out_step=0.2,
-                   keep_states=True)
-    assert np.max(np.abs(sparse.states - dense.states)) < 1e-12
 
 
 def _hermitian_parts(rng, dim, count):
@@ -193,15 +181,13 @@ def _hermitian_parts(rng, dim, count):
     return parts
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
 @pytest.mark.parametrize("theta", [0.0, 1e-4, 0.01, 0.5, 3.0, 4.0, 4.01,
-                                   40.0, 400.0])
-def test_taylor_exponential_matches_expm(monkeypatch, dense, theta):
+                                   40.0, 400.0], ids=lambda t: f"{t}-csr")
+def test_taylor_exponential_matches_expm(theta):
     # one profile-free output interval of norm bound theta = t ||h||_1
     rng = np.random.default_rng(7)
     parts = _hermitian_parts(rng, 24, 3)
     h = sum(w * p for w, p in zip(rng.uniform(-1.0, 1.0, 3), parts))
-    monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", 24 if dense else 0)
     stack = dyn.PartStack([h])
     t = theta / stack.norms[0]
     psi = rng.normal(size=24) + 1j * rng.normal(size=24)
@@ -251,9 +237,8 @@ def test_profile_taylor_coefficients():
             assert abs(coeffs @ s ** np.arange(41) - f(0.7 + 0.25 * s)) < 1e-15
 
 
-@pytest.mark.parametrize("dense_dim", [dyn.DENSE_EXPM_DIM, 0],
-                         ids=["dense", "csr"])
-def test_nan_part_is_step_control_failure(monkeypatch, dense_dim):
+@pytest.mark.parametrize("fmt", ["csr"])
+def test_nan_part_is_step_control_failure(monkeypatch, fmt):
     # a NaN in a part makes its norm bound NaN; the exponential must fail
     # as a step-control failure before the piece count is taken from it
     build = dyn.build_hamiltonian_parts
@@ -263,9 +248,8 @@ def test_nan_part_is_step_control_failure(monkeypatch, dense_dim):
         term, profile = profiled[0]
         term = term.tolil()
         term[0, 1] = np.nan
-        return h_const, [(term.tocsr(), profile)]
+        return h_const, [(term.asformat(fmt), profile)]
 
-    monkeypatch.setattr(dyn, "DENSE_EXPM_DIM", dense_dim)
     monkeypatch.setattr(dyn, "build_hamiltonian_parts", poisoned)
     model = _qubit_model(hs=0.5 * SIGMA_X, profile=TimeProfile("cos", 2.0))
     zero = ChainCoefficients(np.zeros(1), np.zeros(0), 0.0, 1.0, 1)

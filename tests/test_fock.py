@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from nmk_sim import chain as chain_mod, fock
+from nmk_sim import chain as chain_mod, dynamics as dyn, fock
 from nmk_sim.chain import ChainCoefficients, star_to_chain
 from nmk_sim.errors import DimensionOverflow, ShapeMismatch
 from nmk_sim.fock import (
@@ -47,6 +48,20 @@ def test_dimension_formula():
 def test_dimension_overflow():
     with pytest.raises(DimensionOverflow):
         enumerate_basis(2, 2, 2, 64, 4)
+
+
+@pytest.mark.parametrize("modes, cap", [(512, 2), (2000, 2)])
+def test_oversized_occupation_table_refused_before_building(modes, cap):
+    # dims 263,682 and 4.0M pass STATE_CAP, but the (rows, modes) int64
+    # tables would take 515 MiB and 30,563 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflow, match="exceeds cap"):
+            enumerate_basis(1, 2, 1, modes, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,6 +140,53 @@ def test_embed_respects_support_order():
     assert np.allclose(embed_system_operator(2, 2, (1, 0), m), swapped)
 
 
+def test_repeated_support_qudit_refused_at_construction():
+    zz = np.kron(SIGMA_Z, SIGMA_Z)
+    with pytest.raises(ValueError, match="distinct"):
+        SystemModel(2, 2, hs_terms=[((0, 0), zz, TimeProfile())])
+    with pytest.raises(ValueError, match="distinct"):
+        SystemModel(2, 2, jumps=[((1, 1), zz, 0)])
+
+
+def test_oversized_register_refused_before_embedding():
+    # two operators on 13 qubits would take 1 GiB each
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflow, match="exceeds cap"):
+            SystemModel(13, 2, [((0,), SIGMA_Z, TimeProfile())],
+                        [((0,), SIGMA_X, 0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_register_operators_embedded_once(monkeypatch):
+    # the model holds each term's and each bath's summed jump operator,
+    # read-only; no consumer embeds again
+    model = SystemModel(2, 2, (((1,), 0.3 * SIGMA_X, TimeProfile("cos", 1.0)),),
+                        (((0,), SIGMA_X, 0), ((1,), SIGMA_MINUS, 0)))
+    (op, profile), = model.hs_operators
+    assert profile == TimeProfile("cos", 1.0)
+    assert np.array_equal(op, np.kron(np.eye(2), 0.3 * SIGMA_X))
+    jump = model.jump_matrix(0)
+    assert jump is model.jump_matrix(0)
+    assert np.array_equal(jump, np.kron(SIGMA_X, np.eye(2))
+                          + np.kron(np.eye(2), SIGMA_MINUS))
+    assert not (op.flags.writeable or jump.flags.writeable)
+    assert not model.jump_matrix(1).any()
+
+    def no_embedding(*args):
+        raise AssertionError("operator embedded again")
+
+    monkeypatch.setattr(fock, "embed_system_operator", no_embedding)
+    chain = ChainCoefficients(np.zeros(2), np.ones(1), 0.7, 1.0, 2)
+    build_hamiltonian_parts(model, [chain], enumerate_basis(2, 2, 1, 2, 1))
+    hamiltonian_bytes(model, enumerate_basis(2, 2, 1, 2, 1))
+    assert np.array_equal(model.hs_matrix(0.0), op)
+    assert dyn.hs_commutator_sup(model, 0) > 0.0
+
+
 def test_system_model_validation():
     with pytest.raises(ValueError):
         SystemModel(1, 2, hs_terms=[((0,), np.array([[0, 1], [0, 0]]),
@@ -186,16 +248,24 @@ def test_nonzeros_per_row_bound(desk_setup):
 def test_hamiltonian_bytes_bounds_assembled_matrix():
     # a qubit pair with a ZZ coupling, two baths and two jumps on bath 0
     zz = np.kron(SIGMA_Z, SIGMA_Z)
-    model = SystemModel(2, 2,
-                        hs_terms=[((0, 1), zz, TimeProfile()),
-                                  ((1,), 0.3 * SIGMA_X, TimeProfile("cos", 1.0))],
-                        jumps=[((0,), SIGMA_X, 0), ((1,), SIGMA_MINUS, 0),
-                               ((1,), SIGMA_X, 1)])
-    for modes, cap in ((1, 1), (3, 2), (5, 3)):
-        space = enumerate_basis(2, 2, 2, modes, cap)
+    pair = SystemModel(2, 2,
+                       hs_terms=[((0, 1), zz, TimeProfile()),
+                                 ((1,), 0.3 * SIGMA_X, TimeProfile("cos", 1.0))],
+                       jumps=[((0,), SIGMA_X, 0), ((1,), SIGMA_MINUS, 0),
+                              ((1,), SIGMA_X, 1)])
+    # and a three-qubit ZZ ring with a sigma_x jump into its own bath per
+    # site, where every bath's onsite energies and the ZZ terms share one
+    # diagonal
+    ring = SystemModel(3, 2,
+                       hs_terms=[((q, (q + 1) % 3), zz, TimeProfile())
+                                 for q in range(3)],
+                       jumps=[((q,), SIGMA_X, q) for q in range(3)])
+    for model, count, modes, cap in ((pair, 2, 1, 1), (pair, 2, 3, 2),
+                                     (pair, 2, 5, 3), (ring, 3, 2, 2)):
+        space = enumerate_basis(model.n, 2, count, modes, cap)
         baths = [ChainCoefficients(np.linspace(-1.0, 1.0, modes),
                                    np.full(modes - 1, 0.5), 0.7, 2.0, modes)
-                 for _ in range(2)]
+                 for _ in range(count)]
         h = _hamiltonian(model, baths, space, 0.4)
         got = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
         estimate = hamiltonian_bytes(model, space)
