@@ -1,5 +1,17 @@
 """Time propagation on the truncated space and certified error budgets.
 
+`_propagate` picks one of two propagators by whether the run has time
+profiles.  A run without profiles (a constant H_S, every star run) expands
+exp(-i H t) in Chebyshev polynomials of H / ||H||_1 (`_chebyshev_run`): one
+three-term recurrence spans a segment of output times of norm-time product
+up to CHEBYSHEV_SEGMENT_NORM, and every row of the segment stops at the
+smallest degree whose tail bound 2 sum_{k > K} (x/2)^k / k! on the Bessel
+coefficients is at most 2^-53 (`_bessel_tail`).  A driven run sums a Taylor
+series in time over pieces of norm up to TAYLOR_PIECE_NORM (`_taylor_run`).
+Per unit of norm the Chebyshev path takes about 3 matrix-vector products
+(46 for a segment of norm 16), the Taylor path about 8: the fock-krylov
+benchmark run, of norm-time product 33, takes 110 instead of 420.
+
 The budget items mirror the approximation pipeline: mollifier
 regularization, frequency cutoff, chain truncation, and particle-number
 truncation.  Squared-norm bounds are square-rooted before entering the
@@ -32,6 +44,20 @@ from .kernels import (
 # 18 for pieces of norm 1, and no Taylor term of a piece exceeds e^4 ~ 55
 # times its input, so rounding stays near 1e-15.
 TAYLOR_PIECE_NORM = 4.0
+# Largest R (t_j - t_s) one Chebyshev recurrence spans (`_chebyshev_run`),
+# R = ||H||_1: longer segments take fewer products per unit of norm (degree
+# 46 at 16, 72 at 33.2), but every row of a segment adds one vector per
+# degree.  Timed over 4 to 64 and unbounded on a 2-vCPU x86 KVM guest with
+# one BLAS thread: at 16 the fock-krylov benchmark run takes 54 ms (52
+# unbounded, 170 by Taylor series) and the oracle-star star run 8.4 ms (13
+# unbounded, 12.8 by Taylor series).
+CHEBYSHEV_SEGMENT_NORM = 16.0
+# Most output rows one Chebyshev segment holds: its coefficient table and
+# FFT hold rows x (2 degree + 2) complex numbers, which for a qubit run of
+# a million short intervals in one segment would be gigabytes; a new
+# segment costs one recurrence of at most ~46 products, against 64 rows of
+# updates.
+CHEBYSHEV_SEGMENT_ROWS = 64
 # Largest norm-time product theta_run = (t_final - t_0) (sum_k ||P_k||_1 +
 # max_k |omega_k|) a run may have.  Every profile is at most 1 in size, so
 # theta_run bounds the exponent's norm and the profiles' phase, and with
@@ -197,8 +223,7 @@ def _taylor_terms(stack, profiles, t0, h, degree, psi):
     (m + 1) phi_{m+1} = -i h [P_0 phi_m + sum_k sum_{j <= m} c_{k,j} P_k
     phi_{m-j}] with c_k the Taylor coefficients of f_k
     (`TimeProfile.taylor`).  Only the profiled parts' products are kept;
-    the constant part enters at j = 0 only, so a run without profiles does
-    no convolution work."""
+    the constant part enters at j = 0 only."""
     # row degree - j holds c_{., j}: order m meets the last m + 1 rows
     reversed_coeffs = np.array([f.taylor(t0, h, degree)[::-1]
                                 for f in profiles], dtype=complex).T
@@ -207,21 +232,147 @@ def _taylor_terms(stack, profiles, t0, h, degree, psi):
     yield phi
     for m in range(degree):
         products = stack.products(phi)
-        phi = products[0]
-        if profiles:
-            kept[m] = products[1:].ravel()
-            phi = phi + (reversed_coeffs[degree - m:].ravel()
-                         @ kept[:m + 1].reshape(-1, psi.size))
+        kept[m] = products[1:].ravel()
+        phi = products[0] + (reversed_coeffs[degree - m:].ravel()
+                             @ kept[:m + 1].reshape(-1, psi.size))
         phi *= -1j * h / (m + 1)
         yield phi
 
 
+def _taylor_run(stack, profiles, omegas, states, times):
+    """Fill states[1:] under H(t) = P_0 + sum_k f_k(t) P_k from states[0]:
+    every output interval is cut into the pieces of `_taylor_plan`, each
+    summing its Taylor series (`_taylor_terms`).  The run is planned once,
+    from its longest interval: the majorant's coefficients grow with h, so
+    the longest interval's (pieces, degree) keeps every shorter interval's
+    pieces below TAYLOR_PIECE_NORM and its tail below 2^-53."""
+    pieces, degree = _taylor_plan(stack.norms, omegas,
+                                  float(np.diff(times).max()))
+    psi = states[0]
+    for i, (t0, dt) in enumerate(zip(times[:-1], np.diff(times))):
+        h = dt / pieces
+        for p in range(pieces):
+            terms = _taylor_terms(stack, profiles, t0 + p * h, h, degree, psi)
+            psi = sum(terms, next(terms))      # phi_0 + phi_1 + ...
+        states[i + 1] = psi
+
+
+def _bessel_tail(x, degree):
+    """Upper bound on 2 sum_{k > degree} |J_k(x)| for x >= 0, from
+    |J_k(x)| <= (x/2)^k / k! (DLMF 10.14.4): the terms of the bound fall
+    by the ratio (x/2) / (k + 1) <= r = (x/2) / (degree + 2) after the
+    first, so their sum is at most the first over 1 - r.  Infinite where
+    r >= 1, and where the first term exceeds 1, which keeps exp finite."""
+    if x == 0.0:
+        return 0.0
+    half = x / 2.0
+    if half >= degree + 2:
+        return math.inf
+    log_first = (degree + 1) * math.log(half) - math.lgamma(degree + 2)
+    if log_first > 0.0:
+        return math.inf
+    return 2.0 * math.exp(log_first) / (1.0 - half / (degree + 2))
+
+
+def _chebyshev_degree(x):
+    """Smallest degree K with `_bessel_tail(x, K)` <= 2^-53, by doubling
+    and bisection: the bound falls with K."""
+    fewer, degree = -1, 1
+    while _bessel_tail(x, degree) > 2.0**-53:
+        fewer, degree = degree, 2 * degree
+    while degree - fewer > 1:
+        mid = (fewer + degree) // 2
+        fewer, degree = ((mid, degree) if _bessel_tail(x, mid) > 2.0**-53
+                         else (fewer, mid))
+    return degree
+
+
+def _chebyshev_coefficients(x, degree):
+    """(rows, degree + 1) array of (2 - delta_k0) (-i)^k J_k(x_j).
+
+    By Jacobi-Anger, exp(-i x cos s) = sum_k (-i)^k J_k(x) e^{i k s}, so
+    the N-point FFT of exp(-i x cos(2 pi m / N)), over N, returns
+    (-i)^k J_k(x) plus the aliases (-i)^j J_j(x) of j = k + l N, l != 0.
+    For k <= degree each |j| >= N - degree is met at most twice (l > 0 and
+    l < 0), so the aliases weighted by 2 - delta_k0 <= 2 add at most
+    2 `_bessel_tail(x, N - degree - 1)` times ||psi|| to a truncated sum.
+    N starts at the first power of two above 2 degree + 1, so every alias
+    lies beyond the degree, and doubles until that is at most 2^-60 at the
+    largest x (the bound grows with x)."""
+    x = np.asarray(x, dtype=float)
+    n = 1 << (2 * degree + 1).bit_length()
+    while 2.0 * _bessel_tail(float(x.max()), n - degree - 1) > 2.0**-60:
+        n *= 2
+    nodes = np.cos(2.0 * np.pi / n * np.arange(n))
+    coeffs = np.fft.fft(np.exp(-1j * np.multiply.outer(x, nodes)))
+    coeffs = coeffs[:, :degree + 1] / n
+    coeffs[:, 1:] *= 2.0
+    return coeffs
+
+
+def _chebyshev_run(stack, states, times):
+    """Fill states[1:] with exp(-i H (t_j - t_0)) states[0] for the one
+    Hermitian part H of `stack`, by the Chebyshev expansion
+    exp(-i H t) = sum_k (2 - delta_k0) (-i)^k J_k(R t) T_k(H / R) of
+    Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967 (1984)), R = ||H||_1 >=
+    ||H||_2, so that the spectrum of H / R lies in [-1, 1].
+
+    The grid is cut at output times into segments: each spans as many
+    intervals as keep R (t_j - t_s) <= CHEBYSHEV_SEGMENT_NORM, up to
+    CHEBYSHEV_SEGMENT_ROWS, and at least one.  One three-term recurrence
+    v_{k+1} = 2 (H / R) v_k - v_{k-1} from the segment's first state psi
+    serves all its rows, one matrix-vector product per degree; row j adds
+    the coefficient of `_chebyshev_coefficients` at x_j = R (t_j - t_s)
+    times v_k up to its own degree K_j = `_chebyshev_degree(x_j)`.  As
+    ||T_k(H / R)|| <= 1, truncating after K_j errs by at most
+    ||psi|| 2 sum_{k > K_j} |J_k(x_j)| <= 2^-53 ||psi|| (`_bessel_tail`),
+    the standard of `_taylor_plan`; the coefficients' aliases add at most
+    2^-60 ||psi||.  A segment takes K = max_j K_j products (K_j grows with
+    x_j, so the last row's) and keeps four vectors and its (rows, K + 1)
+    coefficients."""
+    norm = stack.norms[0]
+    if norm == 0.0:
+        states[1:] = states[0]
+        return
+    start = 0
+    while start < len(times) - 1:
+        stop = np.searchsorted(times, times[start]
+                               + CHEBYSHEV_SEGMENT_NORM / norm, side="right")
+        stop = min(max(stop, start + 2), start + 1 + CHEBYSHEV_SEGMENT_ROWS)
+        x = norm * (times[start + 1:stop] - times[start])
+        _chebyshev_segment(stack, x, states[start], states[start + 1:stop])
+        start = stop - 1
+
+
+def _chebyshev_segment(stack, x, psi, out):
+    """out[j] = exp(-i x_j H / R) psi for the ascending x of one segment
+    (see `_chebyshev_run`)."""
+    norm = stack.norms[0]
+    degrees = [_chebyshev_degree(float(xj)) for xj in x]
+    top = max(degrees)
+    coeffs = _chebyshev_coefficients(x, top)
+    np.multiply(coeffs[:, :1], psi, out=out)
+    prev, vec, first = None, psi, 0
+    for k in range(1, top + 1):
+        nxt = stack.products(vec)[0]
+        if prev is None:
+            nxt /= norm
+        else:
+            nxt *= 2.0 / norm
+            nxt -= prev
+        prev, vec = vec, nxt
+        while degrees[first] < k:       # rows before `first` are done
+            first += 1
+        for j in range(first, len(degrees)):
+            out[j] += coeffs[j, k] * vec
+
+
 def _propagate(stack, profiles, psi0, times):
     """States at `times`, (T, dim), under H(t) = P_0 + sum_k f_k(t) P_k
-    for the parts of `stack` and the profiles f_1 .. f_K: each output
-    interval is cut into the pieces of `_taylor_plan` (planned once per
-    distinct length), each summing its Taylor series (`_taylor_terms`).
-    Fails with `StepControlFailure` before the first step when the run's
+    for the parts of `stack` and the profiles f_1 .. f_K: a run with
+    profiles by Taylor series in time (`_taylor_run`), one without by
+    Chebyshev recurrences (`_chebyshev_run`).  Fails with
+    `StepControlFailure` before the first product when the run's
     norm-time product exceeds `NORM_TIME_LIMIT`."""
     omegas = np.abs([0.0] + [f.frequency for f in profiles])
     theta_run = float((times[-1] - times[0])
@@ -232,17 +383,11 @@ def _propagate(stack, profiles, psi0, times):
             f"max_k |omega_k|) = {theta_run:.3g} exceeds the limit "
             f"{NORM_TIME_LIMIT:.0f}")
     states = np.empty((len(times), psi0.size), dtype=complex)
-    states[0] = psi = psi0
-    plans = {}
-    for i, (t0, dt) in enumerate(zip(times[:-1], np.diff(times))):
-        if dt not in plans:
-            plans[dt] = _taylor_plan(stack.norms, omegas, dt)
-        pieces, degree = plans[dt]
-        h = dt / pieces
-        for p in range(pieces):
-            terms = _taylor_terms(stack, profiles, t0 + p * h, h, degree, psi)
-            psi = sum(terms, next(terms))      # phi_0 + phi_1 + ...
-        states[i + 1] = psi
+    states[0] = psi0
+    if profiles:
+        _taylor_run(stack, profiles, omegas, states, times)
+    else:
+        _chebyshev_run(stack, states, times)
     return states
 
 

@@ -99,6 +99,7 @@ class SystemModel:
     jumps: tuple = ()        # (support tuple, matrix, bath index)
     hs_operators: tuple = field(init=False, repr=False, compare=False)
     jump_operators: dict = field(init=False, repr=False, compare=False)
+    _jump_norms: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         count = len(self.hs_terms) + len({b for _, _, b in self.jumps})
@@ -130,6 +131,7 @@ class SystemModel:
         object.__setattr__(self, "jumps", tuple(jumps))
         object.__setattr__(self, "hs_operators", tuple(operators))
         object.__setattr__(self, "jump_operators", summed)
+        object.__setattr__(self, "_jump_norms", {})    # see `jump_norm`
 
     def _check_local(self, support, mat):
         if any(q < 0 or q >= self.n for q in support):
@@ -153,7 +155,12 @@ class SystemModel:
         return np.zeros((self.sys_dim, self.sys_dim), dtype=complex)
 
     def jump_norm(self, bath: int) -> float:
-        return float(np.linalg.norm(self.jump_matrix(bath), 2))
+        """Spectral norm of `jump_matrix(bath)`: one dense SVD per bath,
+        taken at the first call and kept."""
+        if bath not in self._jump_norms:
+            self._jump_norms[bath] = float(
+                np.linalg.norm(self.jump_matrix(bath), 2))
+        return self._jump_norms[bath]
 
     def hs_matrix(self, t: float = 0.0):
         """Dense H_S(t) on the full register."""

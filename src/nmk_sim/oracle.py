@@ -3,7 +3,9 @@ Lindblad solution for the delta-kernel (Markovian) limit.
 
 The star oracle shares the Fock-space builder and the propagator with the
 chain pipeline, since a star bath is the same quadratic bath in another
-geometry (diagonal instead of tridiagonal).  Its discretization is
+geometry (diagonal instead of tridiagonal).  Its Hamiltonian is constant, so
+`star_evolve` propagates it by the Chebyshev recurrences of a profile-free
+chain run (`dynamics._propagate_const`).  Its discretization is
 independent: modes sit on a uniform frequency grid with midpoint couplings
 g_k = vhat(w_k) sqrt(dw), so agreement between the two is a genuine
 cross-check of the Gauss quadrature and Lanczos steps.

@@ -12,6 +12,7 @@ import pytest
 
 from nmk_sim import cli
 from nmk_sim import dynamics as dyn
+from nmk_sim import fock
 from nmk_sim import oracle as orc
 from nmk_sim.errors import SchemaViolation
 
@@ -539,6 +540,35 @@ def test_certify_maps_each_chain_once(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "out")]) == 0
     assert calls == [(3.0, 8), (6.0, 8), (3.0, 16)]
     assert refined_calls == calls
+
+
+def test_certify_point_takes_one_svd_per_bath(tmp_path, monkeypatch):
+    # the regularization term and the budget both read every bath's jump
+    # norm; SystemModel takes each bath's SVD once and keeps it
+    models, svds = [], []
+    post_init = fock.SystemModel.__post_init__
+    norm = np.linalg.norm
+
+    def recording(self):
+        post_init(self)
+        models.append(self)
+
+    def counting(x, ord=None, *args, **kwargs):
+        if ord == 2 and any(x is op for model in models
+                            for op in model.jump_operators.values()):
+            svds.append(x)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(fock.SystemModel, "__post_init__", recording)
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    doc = _base_doc(mode="certify")
+    doc["system"]["jumps"].append(
+        {"support": [0], "matrix": "sigma_z", "bath": 1})
+    doc["baths"].append(doc["baths"][0])
+    assert cli.main(["certify", "--config", _write(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(models) == 1 and len(svds) == 2
+    assert svds[0] is not svds[1]
 
 
 def test_single_photon_environment(tmp_path):

@@ -167,8 +167,8 @@ def test_driven_run_matches_ode_reference(ode_states, lorentzian_coupling,
 
 
 def test_driven_dim_90_run_takes_no_krylov():
-    # every exponential is a Taylor series on the vector: the propagator
-    # binds no scipy exponential at all
+    # every exponential is a Taylor or Chebyshev series on the vector: the
+    # propagator binds no scipy exponential at all
     assert not hasattr(dyn, "expm_multiply")
 
 
@@ -184,7 +184,8 @@ def _hermitian_parts(rng, dim, count):
 @pytest.mark.parametrize("theta", [0.0, 1e-4, 0.01, 0.5, 3.0, 4.0, 4.01,
                                    40.0, 400.0], ids=lambda t: f"{t}-csr")
 def test_taylor_exponential_matches_expm(theta):
-    # one profile-free output interval of norm bound theta = t ||h||_1
+    # one profile-free output interval of norm bound theta = t ||h||_1,
+    # propagated by the Chebyshev recurrence (`_chebyshev_run`)
     rng = np.random.default_rng(7)
     parts = _hermitian_parts(rng, 24, 3)
     h = sum(w * p for w, p in zip(rng.uniform(-1.0, 1.0, 3), parts))
@@ -196,6 +197,130 @@ def test_taylor_exponential_matches_expm(theta):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     if theta == 0.0:
         assert got.tobytes() == psi.tobytes()
+
+
+def _segment_degrees(norm, times):
+    # the segment rule restated: from each segment's start, as many output
+    # intervals as keep norm * length <= CHEBYSHEV_SEGMENT_NORM, up to
+    # CHEBYSHEV_SEGMENT_ROWS, at least one; the degree of its last row
+    degrees, start = [], 0
+    while start < len(times) - 1:
+        stop = start + 1
+        while (stop + 1 < len(times)
+               and stop - start < dyn.CHEBYSHEV_SEGMENT_ROWS
+               and norm * (times[stop + 1] - times[start])
+               <= dyn.CHEBYSHEV_SEGMENT_NORM):
+            stop += 1
+        degrees.append(dyn._chebyshev_degree(norm * (times[stop]
+                                                     - times[start])))
+        start = stop
+    return degrees
+
+
+@pytest.mark.parametrize("theta, rows, segments", [
+    (0.5, 5, 1), (12.0, 4, 1), (40.0, 9, 3), (40.0, 2, 1), (400.0, 3, 2),
+    (400.0, 41, 40), (390.0, 201, 25), (0.5, 201, 4)])
+def test_chebyshev_run_matches_expm_at_every_output(theta, rows, segments):
+    # a constant run of norm-time product theta over rows - 1 equal
+    # intervals: in one segment, in several (intervals of norm 5, 10 or
+    # 1.95, or 200 short intervals cut at 64 rows), or in intervals of norm
+    # 40 or 200 above the segment norm, each its own segment
+    rng = np.random.default_rng(11)
+    h = _hermitian_parts(rng, 24, 1)[0]
+    stack = dyn.PartStack([h])
+    times = np.linspace(0.0, theta / stack.norms[0], rows)
+    psi = rng.normal(size=24) + 1j * rng.normal(size=24)
+    psi /= np.linalg.norm(psi)
+    got = dyn._propagate(stack, [], psi, times)
+    assert got[0].tobytes() == psi.tobytes()
+    err = max(np.linalg.norm(row - expm(-1j * t * h.toarray()) @ psi)
+              for row, t in zip(got, times))
+    assert err <= 1e-14 + 4e-16 * theta
+    assert len(_segment_degrees(stack.norms[0], times)) == segments
+
+
+@pytest.mark.parametrize("x", np.logspace(-4.0, 3.0, 15))
+def test_chebyshev_tail_bound_holds(x):
+    # the bound at the planned degree K is at most 2^-53, the one at K - 1
+    # is not, and the bound is at least the true 2 sum_{k > K} |J_k(x)|
+    # (mpmath at 30 digits) for K and the three degrees either side
+    import mpmath
+
+    degree = dyn._chebyshev_degree(x)
+    assert dyn._bessel_tail(x, degree) <= 2.0**-53
+    assert degree == 0 or dyn._bessel_tail(x, degree - 1) > 2.0**-53
+    with mpmath.workdps(30):
+        for k0 in range(max(degree - 3, 0), degree + 4):
+            terms = [abs(mpmath.besselj(k0 + 1, x))]
+            while terms[-1] > 1e-30 * terms[0]:
+                terms.append(abs(mpmath.besselj(k0 + len(terms) + 1, x)))
+            assert dyn._bessel_tail(x, k0) >= 2.0 * float(mpmath.fsum(terms))
+
+
+def test_chebyshev_run_takes_planned_products(monkeypatch):
+    # fock-krylov's grid at an exact norm 16.5: 20 intervals of norm 1.65,
+    # cut into segments of 9, 9 and 2 intervals, one product per degree;
+    # the Taylor plan of the same run takes 20 pieces-times-degree
+    calls = []
+    products = dyn.PartStack.products
+
+    def counting(self, phi):
+        calls.append(1)
+        return products(self, phi)
+
+    monkeypatch.setattr(dyn.PartStack, "products", counting)
+    rng = np.random.default_rng(3)
+    h = _hermitian_parts(rng, 16, 1)[0]
+    h = h * (16.5 / dyn.PartStack([h]).norms[0])
+    stack = dyn.PartStack([h])
+    times = dyn.output_times(2.0, 0.1)
+    dyn._propagate(stack, [], rng.normal(size=16) + 0j, times)
+    degrees = _segment_degrees(stack.norms[0], times)
+    assert len(degrees) == 3
+    assert len(calls) == sum(degrees)
+    pieces, degree = dyn._taylor_plan(stack.norms, np.zeros(1), 0.1)
+    assert len(calls) < (len(times) - 1) * pieces * degree
+
+
+def test_chebyshev_long_interval_memory():
+    # one interval of theta about 6e4 on a qubit: degree about 8e4, whose
+    # (K, K) coefficient table would take 100 GB; the run's coefficients
+    # and vectors stay within a few MB
+    import tracemalloc
+
+    h = sp.csr_matrix(np.array([[0.5, 0.3], [0.3, -0.5]], dtype=complex))
+    stack = dyn.PartStack([h])
+    t = 6e4 / stack.norms[0]
+    psi = np.array([1.0, 0.0], dtype=complex)
+    tracemalloc.start()
+    try:
+        got = dyn._propagate(stack, [], psi, np.array([0.0, t]))[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dyn._chebyshev_degree(6e4) > 8e4
+    assert peak < 32 * 2**20
+    vals, vecs = np.linalg.eigh(h.toarray())
+    want = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ psi))
+    assert np.linalg.norm(got - want) < 1e-10
+
+
+def test_driven_run_plans_once(monkeypatch, lorentzian_coupling):
+    # linspace intervals that differ in their last bits share the longest
+    # interval's plan
+    plans = []
+    plan = dyn._taylor_plan
+
+    def counting(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(dyn, "_taylor_plan", counting)
+    model, chains, space, psi0 = _driven_qubit(lorentzian_coupling, 4, 2)
+    times = dyn.output_times(2.0, 0.1)
+    assert len(set(np.diff(times))) > 1
+    evolve(model, chains, space, psi0, 2.0, out_step=0.1)
+    assert len(plans) == 1
 
 
 @pytest.mark.parametrize("seed", range(6))
