@@ -215,8 +215,9 @@ def _chains(couplings, omega_c, modes):
 
 
 def _space(cfg, modes, cap):
-    """Enumerated space, refused before assembly if its Hamiltonian or the
-    (output times, dimension) complex array of its run's states is too big."""
+    """Enumerated space, refused before assembly if its Hamiltonian, the
+    (output times, dimension) complex array of its run's states or the
+    (output times, sys_dim, sys_dim) array of its reduced states is too big."""
     space = fock.enumerate_basis(cfg.model.n, cfg.model.d, len(cfg.kernels),
                                  modes, cap)
     cap_mib = fock.HAMILTONIAN_BYTES_CAP / 2**20
@@ -231,6 +232,11 @@ def _space(cfg, modes, cap):
         raise DimensionOverflow(
             f"output states of {size / 2**20:.0f} MiB ({rows} times at "
             f"dimension {space.dimension}) exceed cap {cap_mib:.0f} MiB")
+    size = rows * space.sys_dim**2 * 16
+    if size > fock.HAMILTONIAN_BYTES_CAP:
+        raise DimensionOverflow(
+            f"reduced states of {size / 2**20:.0f} MiB ({rows} times at "
+            f"system dimension {space.sys_dim}) exceed cap {cap_mib:.0f} MiB")
     return space
 
 

@@ -1,16 +1,25 @@
 """Time propagation on the truncated space and certified error budgets.
 
 `_propagate` picks one of two propagators by whether the run has time
-profiles.  A run without profiles (a constant H_S, every star run) expands
-exp(-i H t) in Chebyshev polynomials of H / ||H||_1 (`_chebyshev_run`): one
-three-term recurrence spans a segment of output times of norm-time product
-up to CHEBYSHEV_SEGMENT_NORM, and every row of the segment stops at the
-smallest degree whose tail bound 2 sum_{k > K} (x/2)^k / k! on the Bessel
-coefficients is at most 2^-53 (`_bessel_tail`).  A driven run sums a Taylor
-series in time over pieces of norm up to TAYLOR_PIECE_NORM (`_taylor_run`).
-Per unit of norm the Chebyshev path takes about 3 matrix-vector products
-(46 for a segment of norm 16), the Taylor path about 8: the fock-krylov
-benchmark run, of norm-time product 33, takes 110 instead of 420.
+profiles.  Both read each Hamiltonian part's bound R_k >= ||P_k||_2 from
+`PartStack`: a Collatz-Wielandt bound on the spectral radius of |P_k|, the
+matrix of its entries' moduli, from a few products with it
+(`spectral_bound`), never above the 1-norm (up to rounding) and on the
+benchmark models within 2% of ||P_k||_2.  A run without profiles (a
+constant H_S, every star run) expands exp(-i H t) in Chebyshev polynomials
+of H / R (`_chebyshev_run`): one three-term recurrence spans a segment of
+output times of norm-time product up to CHEBYSHEV_SEGMENT_NORM, every row
+of the segment stops at the smallest degree whose tail bound
+2 sum_{k > K} (x/2)^k / k! on the Bessel coefficients is at most 2^-53
+(`_bessel_tail`), and the rows add the recurrence's vectors in blocks of
+CHEBYSHEV_BLOCK, one matrix product per block (`_add_block`).  A driven run
+sums a Taylor series in time over pieces of norm up to TAYLOR_PIECE_NORM
+(`_taylor_run`).  Per unit of norm the Chebyshev path takes about 2 to 3
+matrix-vector products (60 for a segment of norm 25, 116 for one of norm
+64), the Taylor path about 8: the fock-krylov benchmark run (R = 12.64,
+against ||H||_1 = 16.58 and ||H||_2 = 12.41; norm-time product 25) takes 60
+products in one segment, where R = ||H||_1 and segments of norm 16 took 110
+and the Taylor series 420.
 
 The budget items mirror the approximation pipeline: mollifier
 regularization, frequency cutoff, chain truncation, and particle-number
@@ -45,25 +54,38 @@ from .kernels import (
 # times its input, so rounding stays near 1e-15.
 TAYLOR_PIECE_NORM = 4.0
 # Largest R (t_j - t_s) one Chebyshev recurrence spans (`_chebyshev_run`),
-# R = ||H||_1: longer segments take fewer products per unit of norm (degree
-# 46 at 16, 72 at 33.2), but every row of a segment adds one vector per
-# degree.  Timed over 4 to 64 and unbounded on a 2-vCPU x86 KVM guest with
-# one BLAS thread: at 16 the fock-krylov benchmark run takes 54 ms (52
-# unbounded, 170 by Taylor series) and the oracle-star star run 8.4 ms (13
-# unbounded, 12.8 by Taylor series).
-CHEBYSHEV_SEGMENT_NORM = 16.0
+# R = `spectral_bound` of H: longer segments take fewer products per unit
+# of norm (degree 46 at 16, 82 at 40, 116 at 64), and every row of a segment
+# adds its vectors by one matrix product per CHEBYSHEV_BLOCK degrees.
+# Retimed over 16, 32, 64 and 128 on a 2-vCPU x86 KVM guest with one BLAS
+# thread (medians of 15 interleaved runs): the fock-krylov benchmark run
+# takes 80/60/60/60 products in 62/53/51/52 ms, the oracle-star star run
+# 123/103/82/82 in 4.7/4.8/4.5/4.3 ms, and that star run to t = 20 at 401
+# rows 1179/892/745/742 in 41 ms at every norm; 64 is the smallest norm
+# with the fewest products on both benchmark runs.
+CHEBYSHEV_SEGMENT_NORM = 64.0
 # Most output rows one Chebyshev segment holds: its coefficient table and
 # FFT hold rows x (2 degree + 2) complex numbers, which for a qubit run of
 # a million short intervals in one segment would be gigabytes; a new
-# segment costs one recurrence of at most ~46 products, against 64 rows of
-# updates.
+# segment costs one recurrence of about 116 products at the segment norm,
+# against 64 rows of updates.
 CHEBYSHEV_SEGMENT_ROWS = 64
-# Largest norm-time product theta_run = (t_final - t_0) (sum_k ||P_k||_1 +
-# max_k |omega_k|) a run may have.  Every profile is at most 1 in size, so
-# theta_run bounds the exponent's norm and the profiles' phase, and with
-# them the pieces: a run above the limit would take minutes to hours.  The
-# shipped configs and benchmark workloads reach at most 165 (feedback-delay
-# certify), 400 times below it.
+# Recurrence vectors a segment keeps, its last two included: every
+# CHEBYSHEV_BLOCK degrees the rows add them by one (rows, block) x (block,
+# columns) product, taken CHEBYSHEV_COLUMNS columns at a time so that no
+# (rows, dim) temporary forms (at most 64 x 2048 complex numbers, 2 MiB).
+CHEBYSHEV_BLOCK = 8
+CHEBYSHEV_COLUMNS = 2048
+# Shifted power steps of `spectral_bound`: on fock-krylov's Hamiltonian the
+# bound falls from the 1-norm 16.58 to 13.82 after one step and 12.64 after
+# eight, against ||H||_2 = 12.41, for nine real products (2-4 ms).
+POWER_STEPS = 8
+# Largest norm-time product theta_run = (t_final - t_0) (sum_k R_k +
+# max_k |omega_k|) a run may have, R_k >= ||P_k||_2 the parts' bounds.
+# Every profile is at most 1 in size, so theta_run bounds the exponent's
+# norm and the profiles' phase, and with them the pieces: a run above the
+# limit would take minutes to hours.  The shipped configs and benchmark
+# workloads reach at most 121 (feedback-delay certify), 500 times below it.
 NORM_TIME_LIMIT = 2.0**16
 VALIDATE_TOL = 1e-8       # see `Trajectory.validate`
 # Points of the [0, t] grid on which the truncation and regularization bounds
@@ -137,17 +159,61 @@ def measure_moments(space: TruncatedSpace, psi):
     return mu1.reshape(shape), mu2.reshape(shape)
 
 
+def spectral_bound(part):
+    """Upper bound on ||P||_2 for one Hermitian CSR part P, from a few
+    products with |P|, the matrix of its entries' moduli.
+
+    Wielandt: rho(P) <= rho(|P|), and rho(P) = ||P||_2 for Hermitian P.
+    Collatz-Wielandt: for nonnegative A and any x > 0, rho(A) <= c(x) =
+    max_i (A x)_i / x_i, since D^-1 A D with D = diag(x) has the row sums
+    (A x)_i / x_i, and so rho(A) = rho(D^-1 A D) <= ||D^-1 A D||_inf
+    (Horn & Johnson, Matrix Analysis, section 8.1).  Every x gives a
+    rigorous bound, so the smallest c over the steps is taken: x starts at
+    1, where c is the largest row sum of |P|, its infinity-norm and, as |P|
+    is symmetric, its 1-norm; POWER_STEPS shifted power steps
+    x <- (|P| x + x) / max then move x towards the Perron vector, where c
+    falls towards rho(|P|).  The shift keeps every x_i positive, since
+    (|P| x + x)_i >= x_i > 0, and keeps the steps from swinging between the
+    ends of a bipartite |P|'s symmetric spectrum (a chain's): |P| + 1 has
+    rho(|P|) + 1 above every other modulus.  The division by the largest
+    entry, at most 1 + c(1), keeps x_i >= (1 + c(1))^-steps, so x_i stays a
+    normal number unless c(1) exceeds about 2^127, and the steps stop at an
+    x with a subnormal entry.
+
+    Rounding: with u = 2^-53 and n the longest row's nonzero count, the
+    moduli carry a relative error below 2u, each row sum of nonnegative
+    terms at most n u (to first order, in any order of summation), the
+    ratio u and the final product u, so the computed c times
+    1 + (n + 4) 2^-52 bounds the exact one.  A NaN entry makes the bound
+    NaN, an infinite one infinite or NaN."""
+    moduli = sp.csr_matrix((np.abs(part.data), part.indices, part.indptr),
+                           shape=part.shape, copy=False)
+    longest = int(np.diff(part.indptr).max())
+    x = np.ones(part.shape[0])
+    bound = math.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(POWER_STEPS + 1):
+            ax = moduli @ x
+            bound = np.minimum(bound, np.max(ax / x))
+            x += ax
+            x /= x.max()
+            if not x.min() >= np.finfo(float).tiny:
+                break
+    return float(bound) * (1.0 + (longest + 4) * 2.0**-52)
+
+
 class PartStack:
     """Hamiltonian parts P_0, P_1, ..., P_K stacked vertically into one
     ((K + 1) dim, dim) CSR operator, so that one product returns every
-    P_k phi.  Every part must be Hermitian: `SystemModel` rejects
-    non-Hermitian system terms and the bath part is Hermitian by
-    construction, so each part's 1-norm, taken once here, bounds its
-    2-norm."""
+    P_k phi; a single part is held as it is, not copied.  Every part must
+    be Hermitian: `SystemModel` rejects non-Hermitian system terms and the
+    bath part is Hermitian by construction.  `norms` holds each part's
+    `spectral_bound` on its 2-norm, taken once here."""
 
     def __init__(self, parts):
-        self.norms = np.array([float(abs(p).sum(axis=0).max()) for p in parts])
-        self._stack = sp.vstack(parts, format="csr")
+        self.norms = np.array([spectral_bound(p) for p in parts])
+        self._stack = (parts[0] if len(parts) == 1
+                       else sp.vstack(parts, format="csr"))
 
     def products(self, phi):
         """(K + 1, dim) array whose row k is P_k phi."""
@@ -172,11 +238,12 @@ def _majorant(a, beta, n):
 def _taylor_plan(norms, omegas, dt):
     """(pieces, degree) for an output interval of length dt.
 
-    Pieces: the fewest equal pieces h with h sum_k ||P_k||_1 e^{|omega_k| h}
+    `norms` holds the parts' bounds R_k >= ||P_k||_2 (`spectral_bound`).
+    Pieces: the fewest equal pieces h with h sum_k R_k e^{|omega_k| h}
     <= TAYLOR_PIECE_NORM, by doubling and bisection up from the constant
-    count ceil(dt sum_k ||P_k||_1 / TAYLOR_PIECE_NORM).
+    count ceil(dt sum_k R_k / TAYLOR_PIECE_NORM).
 
-    Degree: with a_k = h ||P_k||_1 >= ||h P_k||_2 and beta_k = h |omega_k|,
+    Degree: with a_k = h R_k >= ||h P_k||_2 and beta_k = h |omega_k|,
     |c_{k,j}| <= beta_k^j / j! for either sign of omega_k, so bounding each
     term of the recursion of `_taylor_terms` gives ||phi_m|| <= y_m ||psi||
     by induction, with y_m >= 0 the coefficients of `_majorant`; truncating
@@ -314,22 +381,26 @@ def _chebyshev_run(stack, states, times):
     """Fill states[1:] with exp(-i H (t_j - t_0)) states[0] for the one
     Hermitian part H of `stack`, by the Chebyshev expansion
     exp(-i H t) = sum_k (2 - delta_k0) (-i)^k J_k(R t) T_k(H / R) of
-    Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967 (1984)), R = ||H||_1 >=
-    ||H||_2, so that the spectrum of H / R lies in [-1, 1].
+    Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967 (1984)), R the
+    `spectral_bound` of H, R >= ||H||_2, so that the spectrum of H / R
+    lies in [-1, 1].
 
     The grid is cut at output times into segments: each spans as many
     intervals as keep R (t_j - t_s) <= CHEBYSHEV_SEGMENT_NORM, up to
     CHEBYSHEV_SEGMENT_ROWS, and at least one.  One three-term recurrence
     v_{k+1} = 2 (H / R) v_k - v_{k-1} from the segment's first state psi
-    serves all its rows, one matrix-vector product per degree; row j adds
-    the coefficient of `_chebyshev_coefficients` at x_j = R (t_j - t_s)
-    times v_k up to its own degree K_j = `_chebyshev_degree(x_j)`.  As
+    serves all its rows, one matrix-vector product per degree; row j sums
+    the coefficients of `_chebyshev_coefficients` at x_j = R (t_j - t_s)
+    times v_k up to its own degree K_j = `_chebyshev_degree(x_j)`, its
+    coefficients beyond K_j set to zero.  The rows add the vectors in
+    blocks of CHEBYSHEV_BLOCK degrees, one matrix product per block
+    (`_add_block`), and the segment keeps no other vectors.  As
     ||T_k(H / R)|| <= 1, truncating after K_j errs by at most
     ||psi|| 2 sum_{k > K_j} |J_k(x_j)| <= 2^-53 ||psi|| (`_bessel_tail`),
     the standard of `_taylor_plan`; the coefficients' aliases add at most
     2^-60 ||psi||.  A segment takes K = max_j K_j products (K_j grows with
-    x_j, so the last row's) and keeps four vectors and its (rows, K + 1)
-    coefficients."""
+    x_j, so the last row's) and keeps CHEBYSHEV_BLOCK vectors and its
+    (rows, K + 1) coefficients."""
     norm = stack.norms[0]
     if norm == 0.0:
         states[1:] = states[0]
@@ -348,23 +419,36 @@ def _chebyshev_segment(stack, x, psi, out):
     """out[j] = exp(-i x_j H / R) psi for the ascending x of one segment
     (see `_chebyshev_run`)."""
     norm = stack.norms[0]
-    degrees = [_chebyshev_degree(float(xj)) for xj in x]
-    top = max(degrees)
+    degrees = np.array([_chebyshev_degree(float(xj)) for xj in x])
+    top = int(degrees.max())
     coeffs = _chebyshev_coefficients(x, top)
-    np.multiply(coeffs[:, :1], psi, out=out)
-    prev, vec, first = None, psi, 0
+    coeffs[np.arange(top + 1) > degrees[:, None]] = 0.0
+    # v_k sits in row k % CHEBYSHEV_BLOCK; a full block is added before its
+    # first row is overwritten, and the recurrence reads its last two rows
+    block = np.empty((min(CHEBYSHEV_BLOCK, top + 1), psi.size), dtype=complex)
+    block[0] = psi
+    out[...] = 0.0
     for k in range(1, top + 1):
-        nxt = stack.products(vec)[0]
-        if prev is None:
-            nxt /= norm
-        else:
-            nxt *= 2.0 / norm
-            nxt -= prev
-        prev, vec = vec, nxt
-        while degrees[first] < k:       # rows before `first` are done
-            first += 1
-        for j in range(first, len(degrees)):
-            out[j] += coeffs[j, k] * vec
+        row = k % CHEBYSHEV_BLOCK
+        if row == 0:
+            _add_block(out, coeffs, degrees, k - CHEBYSHEV_BLOCK, block)
+        np.multiply(stack.products(block[row - 1])[0],
+                    (1.0 if k == 1 else 2.0) / norm, out=block[row])
+        if k > 1:
+            block[row] -= block[row - 2]
+    rows = top % CHEBYSHEV_BLOCK + 1
+    _add_block(out, coeffs, degrees, top + 1 - rows, block[:rows])
+
+
+def _add_block(out, coeffs, degrees, start, vectors):
+    """Add coeffs[j, start + i] vectors[i] into out[j] for every row j whose
+    degree reaches `start` (the ascending degrees' tail), by one product
+    per CHEBYSHEV_COLUMNS columns."""
+    first = int(np.searchsorted(degrees, start))
+    weights = coeffs[first:, start:start + len(vectors)]
+    for col in range(0, out.shape[1], CHEBYSHEV_COLUMNS):
+        cols = slice(col, col + CHEBYSHEV_COLUMNS)
+        out[first:, cols] += weights @ vectors[:, cols]
 
 
 def _propagate(stack, profiles, psi0, times):
@@ -379,7 +463,7 @@ def _propagate(stack, profiles, psi0, times):
                       * (stack.norms.sum() + omegas.max()))
     if not theta_run <= NORM_TIME_LIMIT:
         raise StepControlFailure(
-            f"norm-time product (t_final - t_0) * (sum_k ||P_k||_1 + "
+            f"norm-time product (t_final - t_0) * (sum_k R_k + "
             f"max_k |omega_k|) = {theta_run:.3g} exceeds the limit "
             f"{NORM_TIME_LIMIT:.0f}")
     states = np.empty((len(times), psi0.size), dtype=complex)
@@ -409,9 +493,9 @@ def evolve(model: SystemModel, chains, space: TruncatedSpace, psi0,
     """Propagate psi0 under the dilated Hamiltonian and record the trajectory.
 
     The constant part and the profiled system terms form one `PartStack`,
-    propagated by one Taylor series in time (`_propagate`).  States are
-    recorded on `output_times(t_final, out_step)`, the grid the star oracle
-    also uses.
+    propagated by Chebyshev recurrences when no term has a profile and by a
+    Taylor series in time otherwise (`_propagate`).  States are recorded on
+    `output_times(t_final, out_step)`, the grid the star oracle also uses.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (space.dimension,):
@@ -432,14 +516,19 @@ def _propagate_const(h, psi0, times):
 
 
 def _collect(space, times, states, keep_states, oracle):
-    """Trajectory of the (T, dim) states: reduced states by one batched
-    product over their (T, sys_dim, env_dim) view, moments and norms."""
+    """Trajectory of the (T, dim) states: reduced states from their
+    (T, sys_dim, env_dim) view and norms, one output row at a time so that
+    no temporary of the states' size forms (each row keeps the bits of the
+    batched product and norm), then moments."""
     states = np.asarray(states)
     mat = states.reshape(len(times), space.sys_dim, space.env_dim)
-    rho = mat @ mat.conj().swapaxes(1, 2)
+    rho = np.empty((len(times), space.sys_dim, space.sys_dim), dtype=complex)
+    norms = np.empty(len(times))
+    for j, m in enumerate(mat):
+        np.matmul(m, m.conj().T, out=rho[j])
+        norms[j] = np.linalg.norm(states[j:j + 1], axis=1)[0]
     mu1, mu2 = measure_moments(space, states)
-    return Trajectory(np.asarray(times), rho, mu1, mu2,
-                      np.linalg.norm(states, axis=1),
+    return Trajectory(np.asarray(times), rho, mu1, mu2, norms,
                       states=states if keep_states else None, oracle=oracle)
 
 

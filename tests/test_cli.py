@@ -357,6 +357,25 @@ def test_oversized_output_states_fail_before_any_allocation(
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["simulate", "certify", "compare-oracle"])
+def test_oversized_reduced_states_fail_fast(tmp_path, capsys, mode):
+    # an 11-qubit register (128 MiB of operators, under the cap) at 41
+    # output rows: the (41, 2048, 2048) reduced states would take 2.6 GiB
+    # and trajectory.csv gigabytes more, while the (41, dim) states fit
+    doc = _shipped("lorentzian-desk.json")
+    doc["system"]["n"] = 11
+    doc.update(modes=1, particle_cap=1)
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = cli.main([mode, "--config", path, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "reduced states" in err and "exceed cap" in err
+    assert time.perf_counter() - start < 1.0
+    assert not (out / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("mode", ["simulate", "certify"])
 @pytest.mark.parametrize("name", ["lorentzian-desk.json", "driven-qubit.json"])
 def test_huge_norm_time_product_is_exit_three(tmp_path, capsys, name, mode):

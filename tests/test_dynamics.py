@@ -184,7 +184,7 @@ def _hermitian_parts(rng, dim, count):
 @pytest.mark.parametrize("theta", [0.0, 1e-4, 0.01, 0.5, 3.0, 4.0, 4.01,
                                    40.0, 400.0], ids=lambda t: f"{t}-csr")
 def test_taylor_exponential_matches_expm(theta):
-    # one profile-free output interval of norm bound theta = t ||h||_1,
+    # one profile-free output interval of norm bound theta = t R,
     # propagated by the Chebyshev recurrence (`_chebyshev_run`)
     rng = np.random.default_rng(7)
     parts = _hermitian_parts(rng, 24, 3)
@@ -218,13 +218,14 @@ def _segment_degrees(norm, times):
 
 
 @pytest.mark.parametrize("theta, rows, segments", [
-    (0.5, 5, 1), (12.0, 4, 1), (40.0, 9, 3), (40.0, 2, 1), (400.0, 3, 2),
-    (400.0, 41, 40), (390.0, 201, 25), (0.5, 201, 4)])
+    (0.5, 5, 1), (12.0, 4, 1), (40.0, 9, 1), (40.0, 2, 1), (400.0, 3, 2),
+    (400.0, 41, 7), (390.0, 201, 7), (0.5, 201, 4)])
 def test_chebyshev_run_matches_expm_at_every_output(theta, rows, segments):
     # a constant run of norm-time product theta over rows - 1 equal
-    # intervals: in one segment, in several (intervals of norm 5, 10 or
-    # 1.95, or 200 short intervals cut at 64 rows), or in intervals of norm
-    # 40 or 200 above the segment norm, each its own segment
+    # intervals: in one segment (intervals of norm 5, or one of norm 40), in
+    # several (6 intervals of norm 10 or 32 of norm 1.95 per segment, or 200
+    # short intervals cut at 64 rows), or in intervals of norm 200 above the
+    # segment norm, each its own segment
     rng = np.random.default_rng(11)
     h = _hermitian_parts(rng, 24, 1)[0]
     stack = dyn.PartStack([h])
@@ -258,9 +259,9 @@ def test_chebyshev_tail_bound_holds(x):
 
 
 def test_chebyshev_run_takes_planned_products(monkeypatch):
-    # fock-krylov's grid at an exact norm 16.5: 20 intervals of norm 1.65,
-    # cut into segments of 9, 9 and 2 intervals, one product per degree;
-    # the Taylor plan of the same run takes 20 pieces-times-degree
+    # fock-krylov's grid at a norm near 66: 20 intervals of norm 6.6, cut
+    # into segments of 9, 9 and 2 intervals, one product per degree; the
+    # Taylor plan of the same run takes 20 pieces-times-degree
     calls = []
     products = dyn.PartStack.products
 
@@ -271,7 +272,7 @@ def test_chebyshev_run_takes_planned_products(monkeypatch):
     monkeypatch.setattr(dyn.PartStack, "products", counting)
     rng = np.random.default_rng(3)
     h = _hermitian_parts(rng, 16, 1)[0]
-    h = h * (16.5 / dyn.PartStack([h]).norms[0])
+    h = h * (66.0 / dyn.PartStack([h]).norms[0])
     stack = dyn.PartStack([h])
     times = dyn.output_times(2.0, 0.1)
     dyn._propagate(stack, [], rng.normal(size=16) + 0j, times)
@@ -303,6 +304,116 @@ def test_chebyshev_long_interval_memory():
     vals, vecs = np.linalg.eigh(h.toarray())
     want = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ psi))
     assert np.linalg.norm(got - want) < 1e-10
+
+
+def _bound_case(case):
+    rng = np.random.default_rng(13)
+    if case == "real":
+        mat = sp.random(300, 300, density=0.05, random_state=rng)
+        return (mat + mat.T).tocsr()
+    if case == "complex":
+        return _hermitian_parts(rng, 300, 1)[0]
+    if case == "star":
+        # a system row coupled to 512 modes on [-20, 20]: the row's 1-norm
+        # is 51.2, the spectrum about 20 wide
+        mat = sp.lil_matrix((513, 513))
+        mat.setdiag(np.append(0.0, np.linspace(-20.0, 20.0, 512)))
+        mat[0, 1:] = 0.1
+        mat[1:, 0] = 0.1
+        return mat.tocsr()
+    if case == "diagonal":
+        return sp.diags(rng.uniform(-3.0, 3.0, 40), format="csr")
+    return sp.csr_matrix((40, 40))
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "star", "diagonal",
+                                  "zero"])
+def test_spectral_bound_lies_between_spectrum_and_one_norm(case):
+    # Wielandt and Collatz-Wielandt: at least ||P||_2 = max |eigvalsh|; the
+    # first step is the 1-norm, so at most that times the rounding factor
+    part = _bound_case(case)
+    bound = dyn.spectral_bound(part)
+    factor = 1.0 + (np.diff(part.indptr).max() + 4) * 2.0**-52
+    spectral = np.abs(np.linalg.eigvalsh(part.toarray())).max()
+    assert spectral <= bound <= float(abs(part).sum(axis=0).max()) * factor
+    if case == "star":
+        assert bound < 1.02 * spectral
+    if case in ("diagonal", "zero"):
+        assert bound == spectral * factor
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_constant_part_fails_before_first_product(monkeypatch,
+                                                             bad):
+    def no_step(*args):
+        raise AssertionError("product taken on a non-finite part")
+
+    h = _hermitian_parts(np.random.default_rng(2), 12, 1)[0]
+    h.data[3] = bad
+    stack = dyn.PartStack([h])
+    monkeypatch.setattr(dyn.PartStack, "products", no_step)
+    with pytest.raises(StepControlFailure, match="norm-time product"):
+        dyn._propagate(stack, [], np.ones(12, dtype=complex),
+                       np.array([0.0, 1.0]))
+
+
+def test_single_part_stack_holds_the_part_itself():
+    h = _hermitian_parts(np.random.default_rng(4), 12, 1)[0]
+    assert dyn.PartStack([h])._stack is h
+
+
+def test_chebyshev_fock_krylov_run_takes_planned_products(
+        monkeypatch, lorentzian_coupling):
+    # the fock-krylov benchmark model (desk bath, 20 modes, cap 4, dim
+    # 21,252) to t = 2 at step 0.1: R near 12.64 against a 1-norm of 16.58
+    # puts the run in one segment of degree at most 64 (110 products, in
+    # three segments, at R = ||H||_1 and a segment norm of 16)
+    calls = []
+    products = dyn.PartStack.products
+
+    def counting(self, phi):
+        calls.append(1)
+        return products(self, phi)
+
+    monkeypatch.setattr(dyn.PartStack, "products", counting)
+    model = _qubit_model(hs=0.5 * SIGMA_Z, jump=SIGMA_X)
+    chain = star_to_chain(lorentzian_coupling, 3.0, 20)
+    space = enumerate_basis(1, 2, 1, 20, 4)
+    assert space.dimension == 21252
+    h, _ = fock.build_hamiltonian_parts(model, [chain], space)
+    stack = dyn.PartStack([h])
+    times = dyn.output_times(2.0, 0.1)
+    dyn._propagate(stack, [], _vacuum_start(space), times)
+    degrees = _segment_degrees(stack.norms[0], times)
+    assert len(calls) == sum(degrees) <= 64
+    assert len(degrees) == 1
+
+
+def test_collect_forms_no_state_sized_temporary():
+    # the reduced states and norms are formed one output row at a time and
+    # keep the bits of the batched products over the (T, sys_dim, env_dim)
+    # view; the collect's heap peak is the moments' own plus a few rows,
+    # below the 41 rows of a conjugate of the whole array
+    import tracemalloc
+
+    space = enumerate_basis(2, 2, 1, 12, 3)
+    rng = np.random.default_rng(9)
+    states = (rng.normal(size=(41, space.dimension))
+              + 1j * rng.normal(size=(41, space.dimension)))
+    times = np.linspace(0.0, 1.0, 41)
+    tracemalloc.start()
+    try:
+        measure_moments(space, states)
+        moments_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        traj = dyn._collect(space, times, states, False, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mat = states.reshape(41, space.sys_dim, space.env_dim)
+    assert traj.rho_s.tobytes() == (mat @ mat.conj().swapaxes(1, 2)).tobytes()
+    assert traj.norms.tobytes() == np.linalg.norm(states, axis=1).tobytes()
+    assert peak < moments_peak + states.nbytes / 8
 
 
 def test_driven_run_plans_once(monkeypatch, lorentzian_coupling):
