@@ -214,14 +214,17 @@ def _chains(couplings, omega_c, modes):
     return [chain_mod.star_to_chain(c, omega_c, modes) for c in couplings]
 
 
-def _space(cfg, modes, cap):
+def _space(cfg, modes, cap, star=False):
     """Enumerated space, refused before assembly if its Hamiltonian, the
     (output times, dimension) complex array of its run's states or the
-    (output times, sys_dim, sys_dim) array of its reduced states is too big."""
+    (output times, sys_dim, sys_dim) array of its reduced states is too big.
+    A `star` space's couplings are complex when a kernel has a nonzero
+    phase polynomial; a chain's are always real."""
     space = fock.enumerate_basis(cfg.model.n, cfg.model.d, len(cfg.kernels),
                                  modes, cap)
     cap_mib = fock.HAMILTONIAN_BYTES_CAP / 2**20
-    size = fock.hamiltonian_bytes(cfg.model, space)
+    phased = star and any(any(k.phase_poly) for k in cfg.kernels)
+    size = fock.hamiltonian_bytes(cfg.model, space, complex_couplings=phased)
     if size > fock.HAMILTONIAN_BYTES_CAP:
         raise DimensionOverflow(
             f"Hamiltonian of about {size / 2**20:.0f} MiB at dimension "
@@ -420,7 +423,7 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", regularized=None):
         if cfg.model.time_dependent:
             raise StepControlFailure(
                 "star oracle supports constant system profiles only")
-        star_space = _space(cfg, cfg.star_modes, cfg.particle_cap)
+        star_space = _space(cfg, cfg.star_modes, cfg.particle_cap, star=True)
     if cfg.mode == "certify":
         cap_space = _space(cfg, cfg.modes, cfg.particle_cap + 2)
         long_space = _space(cfg, cfg.modes + 8, cfg.particle_cap)

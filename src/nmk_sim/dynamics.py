@@ -12,7 +12,7 @@ output times of norm-time product up to CHEBYSHEV_SEGMENT_NORM, every row
 of the segment stops at the smallest degree whose tail bound
 2 sum_{k > K} (x/2)^k / k! on the Bessel coefficients is at most 2^-53
 (`_bessel_tail`), and the rows add the recurrence's vectors in blocks of
-CHEBYSHEV_BLOCK, one matrix product per block (`_add_block`).  A driven run
+CHEBYSHEV_BLOCK complex vectors' bytes (`_add_block`).  A driven run
 sums a Taylor series in time over pieces of norm up to TAYLOR_PIECE_NORM
 (`_taylor_run`).  Per unit of norm the Chebyshev path takes about 2 to 3
 matrix-vector products (60 for a segment of norm 25, 116 for one of norm
@@ -20,6 +20,17 @@ matrix-vector products (60 for a segment of norm 25, 116 for one of norm
 against ||H||_1 = 16.58 and ||H||_2 = 12.41; norm-time product 25) takes 60
 products in one segment, where R = ||H||_1 and segments of norm 16 took 110
 and the Taylor series 420.
+
+Real Hamiltonians propagate in real arithmetic.  `build_hamiltonian_parts`
+assembles float64 parts whenever every value it writes is real (every
+shipped config and benchmark model), and a real `PartStack` never takes
+scipy's mixed real-complex product: a complex vector takes two real
+products.  A Chebyshev segment on a real stack from a state with zero
+imaginary part runs its recurrence on real vectors, as T_k(H / R) psi stays
+real, and each adds into only the real part (even k, whose coefficient
+(2 - delta_k0) (-i)^k J_k is real) or only the imaginary part (odd k) of
+each output row; every other segment, and every complex model, runs
+complex.  The fock-krylov run's 60 products are all real.
 
 The budget items mirror the approximation pipeline: mollifier
 regularization, frequency cutoff, chain truncation, and particle-number
@@ -56,7 +67,7 @@ TAYLOR_PIECE_NORM = 4.0
 # Largest R (t_j - t_s) one Chebyshev recurrence spans (`_chebyshev_run`),
 # R = `spectral_bound` of H: longer segments take fewer products per unit
 # of norm (degree 46 at 16, 82 at 40, 116 at 64), and every row of a segment
-# adds its vectors by one matrix product per CHEBYSHEV_BLOCK degrees.
+# adds its vectors in blocks (CHEBYSHEV_BLOCK).
 # Retimed over 16, 32, 64 and 128 on a 2-vCPU x86 KVM guest with one BLAS
 # thread (medians of 15 interleaved runs): the fock-krylov benchmark run
 # takes 80/60/60/60 products in 62/53/51/52 ms, the oracle-star star run
@@ -70,10 +81,15 @@ CHEBYSHEV_SEGMENT_NORM = 64.0
 # segment costs one recurrence of about 116 products at the segment norm,
 # against 64 rows of updates.
 CHEBYSHEV_SEGMENT_ROWS = 64
-# Recurrence vectors a segment keeps, its last two included: every
-# CHEBYSHEV_BLOCK degrees the rows add them by one (rows, block) x (block,
-# columns) product, taken CHEBYSHEV_COLUMNS columns at a time so that no
-# (rows, dim) temporary forms (at most 64 x 2048 complex numbers, 2 MiB).
+# Recurrence vectors a segment keeps, its last two included, sized in
+# bytes: the bytes of CHEBYSHEV_BLOCK complex vectors, so 8 complex vectors
+# on a complex recurrence and 16 real ones on a real recurrence.  Each full
+# block is added into the rows by one (rows, block) x (block, columns)
+# product, or on a real recurrence by two real ones of half the block (even
+# degrees into the real parts, odd into the imaginary parts), so a real
+# segment passes over its (rows, dim) output half as often.  The products
+# take CHEBYSHEV_COLUMNS columns at a time so that no (rows, dim) temporary
+# forms (at most 64 x 2048 complex numbers, 2 MiB).
 CHEBYSHEV_BLOCK = 8
 CHEBYSHEV_COLUMNS = 2048
 # Shifted power steps of `spectral_bound`: on fock-krylov's Hamiltonian the
@@ -208,16 +224,28 @@ class PartStack:
     P_k phi; a single part is held as it is, not copied.  Every part must
     be Hermitian: `SystemModel` rejects non-Hermitian system terms and the
     bath part is Hermitian by construction.  `norms` holds each part's
-    `spectral_bound` on its 2-norm, taken once here."""
+    `spectral_bound` on its 2-norm, taken once here.  The stack is `real`
+    when its parts are (`build_hamiltonian_parts` assembles real parts for
+    real values), and then keeps every product in real arithmetic."""
 
     def __init__(self, parts):
         self.norms = np.array([spectral_bound(p) for p in parts])
         self._stack = (parts[0] if len(parts) == 1
                        else sp.vstack(parts, format="csr"))
+        self.real = not np.iscomplexobj(self._stack.data)
 
     def products(self, phi):
-        """(K + 1, dim) array whose row k is P_k phi."""
-        return (self._stack @ phi).reshape(self.norms.size, -1)
+        """(K + 1, dim) array whose row k is P_k phi.  A complex phi on a
+        real stack takes two real products, one on its real part and one on
+        its imaginary part: scipy's mixed real-complex product converts the
+        matrix to complex on every call."""
+        if self.real and np.iscomplexobj(phi):
+            out = np.empty(self._stack.shape[0], dtype=complex)
+            out.real = self._stack @ phi.real
+            out.imag = self._stack @ phi.imag
+        else:
+            out = self._stack @ phi
+        return out.reshape(self.norms.size, -1)
 
 
 def _majorant(a, beta, n):
@@ -393,13 +421,23 @@ def _chebyshev_run(stack, states, times):
     the coefficients of `_chebyshev_coefficients` at x_j = R (t_j - t_s)
     times v_k up to its own degree K_j = `_chebyshev_degree(x_j)`, its
     coefficients beyond K_j set to zero.  The rows add the vectors in
-    blocks of CHEBYSHEV_BLOCK degrees, one matrix product per block
-    (`_add_block`), and the segment keeps no other vectors.  As
+    blocks of CHEBYSHEV_BLOCK complex vectors' bytes (`_add_block`), and
+    the segment keeps no other vectors.
+
+    Field rule: on a real stack (`PartStack.real`) from a segment start
+    with zero imaginary part, every v_k is real, so the recurrence runs on
+    real vectors, 16 to a block.  The coefficient (2 - delta_k0) (-i)^k J_k
+    is real for even k and imaginary for odd k, so the segment keeps the
+    FFT's real parts at even k and its imaginary parts at odd k (the
+    others are rounding), and the even-k vectors add into the real part of
+    each row, the odd-k vectors into its imaginary part.  Every other
+    segment (a complex stack, a complex start, so most segments after a
+    real run's first) runs complex, 8 vectors to a block.  As
     ||T_k(H / R)|| <= 1, truncating after K_j errs by at most
     ||psi|| 2 sum_{k > K_j} |J_k(x_j)| <= 2^-53 ||psi|| (`_bessel_tail`),
     the standard of `_taylor_plan`; the coefficients' aliases add at most
     2^-60 ||psi||.  A segment takes K = max_j K_j products (K_j grows with
-    x_j, so the last row's) and keeps CHEBYSHEV_BLOCK vectors and its
+    x_j, so the last row's) and keeps one block of vectors and its
     (rows, K + 1) coefficients."""
     norm = stack.norms[0]
     if norm == 0.0:
@@ -423,32 +461,47 @@ def _chebyshev_segment(stack, x, psi, out):
     top = int(degrees.max())
     coeffs = _chebyshev_coefficients(x, top)
     coeffs[np.arange(top + 1) > degrees[:, None]] = 0.0
-    # v_k sits in row k % CHEBYSHEV_BLOCK; a full block is added before its
-    # first row is overwritten, and the recurrence reads its last two rows
-    block = np.empty((min(CHEBYSHEV_BLOCK, top + 1), psi.size), dtype=complex)
+    if stack.real and not psi.imag.any():
+        # (2 - delta_k0) (-i)^k J_k is real for even k, imaginary for odd k
+        coeffs = np.where(np.arange(top + 1) % 2, coeffs.imag, coeffs.real)
+        psi = psi.real
+    size = CHEBYSHEV_BLOCK * 16 // psi.itemsize     # 8 complex or 16 real
+    # v_k sits in row k % size; a full block is added before its first row
+    # is overwritten, and the recurrence reads its last two rows
+    block = np.empty((min(size, top + 1), psi.size), dtype=psi.dtype)
     block[0] = psi
     out[...] = 0.0
     for k in range(1, top + 1):
-        row = k % CHEBYSHEV_BLOCK
+        row = k % size
         if row == 0:
-            _add_block(out, coeffs, degrees, k - CHEBYSHEV_BLOCK, block)
+            _add_block(out, coeffs, degrees, k - size, block)
         np.multiply(stack.products(block[row - 1])[0],
                     (1.0 if k == 1 else 2.0) / norm, out=block[row])
         if k > 1:
             block[row] -= block[row - 2]
-    rows = top % CHEBYSHEV_BLOCK + 1
+    rows = top % size + 1
     _add_block(out, coeffs, degrees, top + 1 - rows, block[:rows])
 
 
 def _add_block(out, coeffs, degrees, start, vectors):
     """Add coeffs[j, start + i] vectors[i] into out[j] for every row j whose
     degree reaches `start` (the ascending degrees' tail), by one product
-    per CHEBYSHEV_COLUMNS columns."""
+    per CHEBYSHEV_COLUMNS columns.  Real coefficients come with real
+    vectors from an even `start`: the even-k vectors add into the real part
+    of each row and the odd-k vectors into its imaginary part, two real
+    products per columns, each chunk's real and imaginary parts in turn."""
     first = int(np.searchsorted(degrees, start))
     weights = coeffs[first:, start:start + len(vectors)]
+    out = out[first:]
+    if np.iscomplexobj(weights):
+        terms = [(out, weights, vectors)]
+    else:
+        terms = [(out.real, weights[:, 0::2], vectors[0::2]),
+                 (out.imag, weights[:, 1::2], vectors[1::2])]
     for col in range(0, out.shape[1], CHEBYSHEV_COLUMNS):
         cols = slice(col, col + CHEBYSHEV_COLUMNS)
-        out[first:, cols] += weights @ vectors[:, cols]
+        for part, w, v in terms:
+            part[:, cols] += w @ v[:, cols]
 
 
 def _propagate(stack, profiles, psi0, times):

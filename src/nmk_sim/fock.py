@@ -11,7 +11,10 @@ nearest-neighbour ``hopping`` t and a system coupling vector ``couplings`` g:
 sum_j w_j n_j + t_j (a_j^dag a_{j+1} + h.c.) + (L (x) sum_j g_j a_j^dag + h.c.)
 with L the bath's jump operator.  A chain (`ChainCoefficients`) is
 ``(onsite, hopping, ||v|| e_1)``, a star (`oracle.StarDiscretization`)
-``(omegas, 0, couplings)``.
+``(omegas, 0, couplings)``.  The parts are float64 when every value
+written is real (a chain's coefficients always are; a star's couplings are
+real for a kernel without phase) and the system operators are real, and
+complex128 otherwise; `hamiltonian_bytes` sizes them by the same rule.
 """
 
 from __future__ import annotations
@@ -27,10 +30,12 @@ from .errors import DimensionOverflow, ShapeMismatch
 
 STATE_CAP = 2**24
 # Largest assembled Hamiltonian, in estimated CSR bytes, that a run may build
-# (`hamiltonian_bytes`).  Assembly peaks at about 2.75x the finished matrix:
-# building a 75 MB one (3-qubit ring, dim 343,000, 3.87M nonzeros) raises
-# peak RSS by 206 MB.  The largest benchmark Hamiltonian (dim 21,252) takes
-# 3.3 MB.
+# (`hamiltonian_bytes`).  Assembly peaks at about 3x the finished matrix, as
+# its index arrays do not shrink with the values: the 3-qubit ring (dim
+# 343,000, 3.87M nonzeros) raises peak RSS by 142 MB to build its real
+# matrix of 48 MB (estimate 80 MB), and by 206 MB for the same matrix built
+# complex, 79 MB (estimate 132 MB).  The largest benchmark Hamiltonian (dim
+# 21,252, real) takes 2.0 MB.
 HAMILTONIAN_BYTES_CAP = 2**28
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -91,7 +96,8 @@ class TimeProfile:
 @dataclass(frozen=True)
 class SystemModel:
     """Qudit register, k-local Hamiltonian terms, and jump operators, each
-    validated and embedded once (read-only `hs_operators`, `jump_operators`)."""
+    validated and embedded once (read-only `hs_operators`, `jump_operators`;
+    `real` when no embedded operator has a nonzero imaginary part)."""
 
     n: int
     d: int
@@ -99,6 +105,7 @@ class SystemModel:
     jumps: tuple = ()        # (support tuple, matrix, bath index)
     hs_operators: tuple = field(init=False, repr=False, compare=False)
     jump_operators: dict = field(init=False, repr=False, compare=False)
+    real: bool = field(init=False, repr=False, compare=False)
     _jump_norms: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,12 +132,15 @@ class SystemModel:
             self._check_local(support, mat)
             jumps.append((tuple(support), mat, int(bath)))
             summed[int(bath)] = summed.get(int(bath), 0) + embed(support, mat)
-        for op in [op for op, _ in operators] + list(summed.values()):
+        embedded = [op for op, _ in operators] + list(summed.values())
+        for op in embedded:
             op.flags.writeable = False
         object.__setattr__(self, "hs_terms", tuple(terms))
         object.__setattr__(self, "jumps", tuple(jumps))
         object.__setattr__(self, "hs_operators", tuple(operators))
         object.__setattr__(self, "jump_operators", summed)
+        object.__setattr__(self, "real",
+                           not any(np.any(op.imag) for op in embedded))
         object.__setattr__(self, "_jump_norms", {})    # see `jump_norm`
 
     def _check_local(self, support, mat):
@@ -341,10 +351,20 @@ def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
     L_alpha a^dag(g_alpha) + h.c. (module docstring), plus the
     constant-profile system terms.  Non-constant system terms are returned
     separately so repeated builds only rescale cached matrices.
+
+    Every part is float64 when every value written is real (the model's
+    embedded operators, each bath's onsite energies, hoppings and couplings;
+    complex-typed values with zero imaginary parts, as a zero-phase star's
+    couplings, count as real), and complex128 otherwise.  A real build takes
+    the real parts of its inputs before lifting them, so its entries equal
+    the real parts of the complex build's bit for bit.
     """
     if len(baths) != space.baths or any(
             np.shape(b.onsite) != (space.modes,) for b in baths):
         raise ShapeMismatch("need one bath of `modes` modes per space bath")
+    real = model.real and not any(np.any(np.imag(a)) for b in baths
+                                  for a in (b.onsite, b.hopping, b.couplings))
+    values = np.real if real else np.asarray
 
     table = space.table
     row, mode, lower = _moves(space)
@@ -357,21 +377,22 @@ def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
     quad_cols = np.concatenate([diag, hop_from, hop_to])
 
     dim = space.dimension
-    h_const = sp.csr_matrix((dim, dim), dtype=complex)
+    h_const = sp.csr_matrix((dim, dim), dtype=float if real else complex)
     for alpha, bath in enumerate(baths):
-        hop = np.asarray(bath.hopping)[hop_mode] * hop_amp
-        quadratic = np.concatenate([table @ np.asarray(bath.onsite), hop,
+        hop = values(bath.hopping)[hop_mode] * hop_amp
+        quadratic = np.concatenate([table @ values(bath.onsite), hop,
                                     np.conj(hop)])
         h_const = h_const + _lift(space, alpha, np.eye(space.sys_dim),
                                   quad_rows, quad_cols, quadratic)
-        coupling = _lift(space, alpha, model.jump_matrix(alpha), row, lower,
-                         np.asarray(bath.couplings)[mode] * raise_amp)
+        coupling = _lift(space, alpha, values(model.jump_matrix(alpha)), row,
+                         lower, values(bath.couplings)[mode] * raise_amp)
         h_const = h_const + coupling
         h_const = h_const + coupling.conj().T
 
     profiled = []
     for mat, profile in model.hs_operators:
-        term = _lift(space, 0, mat, diag, diag, np.ones(space.block_size))
+        term = _lift(space, 0, values(mat), diag, diag,
+                     np.ones(space.block_size))
         if profile.is_constant:
             h_const = h_const + term
         else:
@@ -379,7 +400,8 @@ def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
     return h_const, profiled
 
 
-def hamiltonian_bytes(model: SystemModel, space: TruncatedSpace) -> int:
+def hamiltonian_bytes(model: SystemModel, space: TruncatedSpace,
+                      complex_couplings: bool = False) -> int:
     """Upper estimate of the CSR bytes of `build_hamiltonian_parts`' output.
 
     Counts the nonzeros of every lifted block, known from the occupation
@@ -389,8 +411,11 @@ def hamiltonian_bytes(model: SystemModel, space: TruncatedSpace) -> int:
     Off it: each bath's hops on every system state, each jump operator and
     its adjoint against the raising block, and each constant system term on
     every environment state.  Each profiled system term is a part of its
-    own, counted whole.  A nonzero takes 16 bytes of complex value and 4 of
-    column index, and each part 4 (dimension + 1) bytes of row pointers.
+    own, counted whole.  A nonzero takes 4 bytes of column index and 8 of
+    real value, or 16 of complex value when the model is not `real` or
+    `complex_couplings` says that some bath's couplings are complex (a
+    star with a phase; a chain's are real); each part takes 4 (dimension +
+    1) bytes of row pointers.
     """
     occupied = int(np.count_nonzero(space.table))
     hops = int(np.count_nonzero(space.table[:, :-1]))
@@ -406,7 +431,8 @@ def hamiltonian_bytes(model: SystemModel, space: TruncatedSpace) -> int:
             nnz -= space.env_dim * int(np.count_nonzero(np.diagonal(op)))
         else:
             parts += 1
-    return 20 * nnz + 4 * (space.dimension + 1) * parts
+    value = 8 if model.real and not complex_couplings else 16
+    return (value + 4) * nnz + 4 * (space.dimension + 1) * parts
 
 
 # -- initial environment states ----------------------------------------------

@@ -5,8 +5,10 @@ The star oracle shares the Fock-space builder and the propagator with the
 chain pipeline, since a star bath is the same quadratic bath in another
 geometry (diagonal instead of tridiagonal).  Its Hamiltonian is constant, so
 `star_evolve` propagates it by the Chebyshev recurrences of a profile-free
-chain run (`dynamics._propagate_const`).  Its discretization is
-independent: modes sit on a uniform frequency grid with midpoint couplings
+chain run (`dynamics._propagate_const`), in real arithmetic when the
+model is real and no kernel has a phase (its couplings g_k are then real,
+though complex-typed; the builder decides by value).  Its discretization
+is independent: modes sit on a uniform frequency grid with midpoint couplings
 g_k = vhat(w_k) sqrt(dw), so agreement between the two is a genuine
 cross-check of the Gauss quadrature and Lanczos steps.
 """

@@ -389,6 +389,83 @@ def test_chebyshev_fock_krylov_run_takes_planned_products(
     assert len(degrees) == 1
 
 
+def _recording_products(monkeypatch):
+    # the dtype of every `PartStack.products` argument, in call order
+    dtypes = []
+    products = dyn.PartStack.products
+
+    def recording(self, phi):
+        dtypes.append(phi.dtype)
+        return products(self, phi)
+
+    monkeypatch.setattr(dyn.PartStack, "products", recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("theta, rows, start", [
+    (40.0, 9, "real"), (400.0, 41, "real"), (400.0, 41, "complex")],
+    ids=["real-one-segment", "real-segments", "complex-start"])
+def test_chebyshev_real_field_matches_expm(monkeypatch, theta, rows, start):
+    # a real symmetric H: a real start runs its first segment on real
+    # vectors, each later segment (7 in all at theta 400) starts complex
+    # and runs complex, as does every segment from a complex start
+    dtypes = _recording_products(monkeypatch)
+    rng = np.random.default_rng(17)
+    mat = sp.random(24, 24, density=0.2, random_state=rng)
+    h = (mat + mat.T).tocsr()
+    stack = dyn.PartStack([h])
+    assert stack.real
+    times = np.linspace(0.0, theta / stack.norms[0], rows)
+    psi = rng.normal(size=24) + 1j * (rng.normal(size=24) if start == "complex"
+                                      else 0.0)
+    psi /= np.linalg.norm(psi)
+    got = dyn._propagate(stack, [], psi, times)
+    assert got[0].tobytes() == psi.tobytes()
+    err = max(np.linalg.norm(row - expm(-1j * t * h.toarray()) @ psi)
+              for row, t in zip(got, times))
+    assert err <= 1e-14 + 4e-16 * theta
+    degrees = _segment_degrees(stack.norms[0], times)
+    assert len(dtypes) == sum(degrees)
+    real = degrees[0] if start == "real" else 0
+    assert all(d == np.float64 for d in dtypes[:real])
+    assert all(d == np.complex128 for d in dtypes[real:])
+
+
+def test_chebyshev_fock_krylov_run_takes_real_products(monkeypatch,
+                                                       lorentzian_coupling):
+    # the fock-krylov benchmark model is real and starts in a real state:
+    # its one segment takes every one of its 60 products on a real vector
+    dtypes = _recording_products(monkeypatch)
+    model = _qubit_model(hs=0.5 * SIGMA_Z, jump=SIGMA_X)
+    chain = star_to_chain(lorentzian_coupling, 3.0, 20)
+    space = enumerate_basis(1, 2, 1, 20, 4)
+    h, _ = fock.build_hamiltonian_parts(model, [chain], space)
+    assert h.dtype == np.float64
+    stack = dyn.PartStack([h])
+    times = dyn.output_times(2.0, 0.1)
+    dyn._propagate(stack, [], _vacuum_start(space), times)
+    assert len(dtypes) == sum(_segment_degrees(stack.norms[0], times)) == 60
+    assert all(d == np.float64 for d in dtypes)
+
+
+def test_chebyshev_complex_vector_product_on_real_part():
+    # a complex vector on a real stack takes one real product on its real
+    # part and one on its imaginary part; the complex stack's product of
+    # the same parts agrees within 1e-15 relative
+    rng = np.random.default_rng(23)
+    parts = []
+    for _ in range(3):
+        mat = sp.random(40, 40, density=0.2, random_state=rng)
+        parts.append((mat + mat.T).tocsr())
+    real = dyn.PartStack(parts)
+    cplx = dyn.PartStack([p.astype(complex) for p in parts])
+    assert real.real and not cplx.real
+    phi = rng.normal(size=40) + 1j * rng.normal(size=40)
+    got, want = real.products(phi), cplx.products(phi)
+    assert got.dtype == np.complex128 and got.shape == (3, 40)
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
 def test_collect_forms_no_state_sized_temporary():
     # the reduced states and norms are formed one output row at a time and
     # keep the bits of the batched products over the (T, sys_dim, env_dim)

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from nmk_sim import chain as chain_mod, dynamics as dyn, fock
+from nmk_sim import chain as chain_mod, dynamics as dyn, fock, kernels as ker
 from nmk_sim.chain import ChainCoefficients, star_to_chain
 from nmk_sim.errors import DimensionOverflow, ShapeMismatch
 from nmk_sim.fock import (
@@ -551,6 +551,49 @@ def test_builder_time_profiled_system_term():
                         (((0,), SIGMA_MINUS, 0),))
     space = enumerate_basis(1, 2, 1, 4, 2)
     _compare_builders("chain", model, [_random_bath("chain", rng, 4)], space)
+
+
+def test_builder_dtype_follows_values():
+    # real values give float64 parts, equal to the complex reference loops;
+    # one imaginary value anywhere (a system term, a jump, a phased star's
+    # couplings) gives complex128 parts; the size estimate bounds both
+    rng = np.random.default_rng(21)
+    space = enumerate_basis(1, 2, 1, 3, 2)
+    desk = SystemModel(1, 2, (((0,), 0.5 * SIGMA_Z, TimeProfile()),
+                              ((0,), 0.2 * SIGMA_X, TimeProfile("cos", 1.0))),
+                       (((0,), SIGMA_MINUS, 0),))
+    chain = _random_bath("chain", rng, 3)
+    mol = ker.Mollifier(0.05)
+
+    def star(phase_poly):
+        kernel = ker.MemoryKernel.lorentzian_sum([(1.0, 0.0, 1.0)],
+                                                 phase_poly)
+        coupling = ker.regularize(kernel, mol, ker.choose_grid(kernel, mol))
+        return StarDiscretization.from_coupling(coupling, 3.0, 3)
+
+    flat = star(())
+    assert flat.couplings.dtype == complex and not flat.couplings.imag.any()
+    for geometry, bath in (("chain", chain), ("star", flat)):
+        _compare_builders(geometry, desk, [bath], space)
+    sigma_y = SystemModel(1, 2, (((0,), 0.5 * SIGMA_Z, TimeProfile()),
+                                 ((0,), 0.3 * fock.SIGMA_Y, TimeProfile())),
+                          (((0,), SIGMA_MINUS, 0),))
+    y_jump = SystemModel(1, 2, (((0,), 0.5 * SIGMA_Z, TimeProfile()),),
+                         (((0,), fock.SIGMA_Y, 0),))
+    for model, bath, dtype in ((desk, chain, np.float64),
+                               (desk, flat, np.float64),
+                               (sigma_y, chain, np.complex128),
+                               (y_jump, chain, np.complex128),
+                               (desk, star((0.0, 0.3)), np.complex128)):
+        h, profiled = build_hamiltonian_parts(model, [bath], space)
+        parts = [h] + [term for term, _ in profiled]
+        assert all(p.dtype == dtype for p in parts)
+        got = sum(p.data.nbytes + p.indices.nbytes + p.indptr.nbytes
+                  for p in parts)
+        estimate = hamiltonian_bytes(model, space, complex_couplings=(
+            np.iscomplexobj(bath.couplings) and bath.couplings.imag.any()))
+        assert got <= estimate <= 2 * got
+    assert desk.real and not sigma_y.real and not y_jump.real
 
 
 _TABLE_SIZES = [(1, 0), (1, 4), (3, 3), (6, 2), (20, 4), (512, 1)]
