@@ -56,14 +56,29 @@ def _fmt(x: float) -> str:
 
 
 def _matrix_from_doc(doc, scale=1.0):
-    if isinstance(doc, str):
-        mat = fock.NAMED_MATRICES[doc]
-    else:
-        re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
-        mat = re + 1j * im
-        scale = scale * doc.get("scale", 1.0)
-    return scale * mat
+    # `SystemModel` refuses the non-finite entries an infinite scale makes
+    with np.errstate(invalid="ignore", over="ignore"):
+        if isinstance(doc, str):
+            mat = fock.NAMED_MATRICES[doc]
+        else:
+            re = np.asarray(doc["re"], dtype=float)
+            im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
+            mat = re + 1j * im
+            scale = scale * doc.get("scale", 1.0)
+        return scale * mat
+
+
+def _nan_path(doc):
+    """Keys and indices down to the first NaN of a parsed JSON document (the
+    parser accepts NaN, and NaN passes every schema bound), or None."""
+    if isinstance(doc, float):
+        return [] if math.isnan(doc) else None
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in children:
+        if (path := _nan_path(child)) is not None:
+            return [key, *path]
+    return None
 
 
 def _kernel_from_doc(doc) -> ker.MemoryKernel:
@@ -107,6 +122,9 @@ class ExperimentConfig:
         if exc is not None:
             path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
             raise SchemaViolation(f"at {path}: {exc.message}") from exc
+        if (nan := _nan_path(doc)) is not None:
+            raise SchemaViolation(
+                f"at {'/'.join(map(str, nan))}: NaN is not a number")
 
         sysdoc = doc["system"]
         n, d = sysdoc["n"], sysdoc["d"]
@@ -144,6 +162,9 @@ class ExperimentConfig:
                                   mol_doc.get("family", "standard_bump"))
         reg = doc.get("regularization")
         reg_grid = (reg["omega_max"], reg.get("n_points", 8193)) if reg else None
+        if reg_grid and not math.isfinite(reg_grid[0]):
+            raise SchemaViolation(
+                f"at regularization/omega_max: {reg_grid[0]} is not finite")
 
         init = sysdoc.get("initial", {"basis_state": 0})
         if "amplitudes" in init:
@@ -331,11 +352,23 @@ def _state_constants(cfg, couplings):
 
 # -- artifact writers ----------------------------------------------------------
 
-def _atomic_write(path, text):
+def _atomic_write(out_dir, name, text):
+    path = os.path.join(out_dir, name)
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _csv(header, rows) -> str:
+    """CSV text of a header and rows, one line each: strings as given,
+    numbers with 17 significant digits (`_fmt`)."""
+    return "".join(",".join(c if isinstance(c, str) else _fmt(c) for c in line)
+                   + "\n" for line in [header, *rows])
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def trajectory_csv(traj: dyn.Trajectory, sys_dim: int) -> str:
@@ -353,14 +386,7 @@ def trajectory_csv(traj: dyn.Trajectory, sys_dim: int) -> str:
         traj.times, np.stack([rho.real, rho.imag], axis=-1).reshape(n, -1),
         traj.mu1, traj.mu2, traj.norms])
     flag = str(int(traj.oracle))
-    lines = [",".join(cols)]
-    lines += [",".join([*map(_fmt, row), flag]) for row in table]
-    return "\n".join(lines) + "\n"
-
-
-def _chain_json(chains) -> str:
-    return json.dumps([c.to_json_dict() for c in chains], indent=2,
-                      sort_keys=True) + "\n"
+    return _csv(cols, ([*row, flag] for row in table))
 
 
 # -- mode runners ---------------------------------------------------------------
@@ -409,8 +435,8 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", regularized=None):
 
     if cfg.mode == "chain-map":
         chains = _chains(_regularized(cfg)[0], cfg.cutoff_omega, cfg.modes)
-        _atomic_write(os.path.join(out_dir, f"chain{suffix}.json"),
-                      _chain_json(chains))
+        _atomic_write(out_dir, f"chain{suffix}.json",
+                      _json([c.to_json_dict() for c in chains]))
         return {}
 
     # every size check of this point, and the star oracle's refusals, run
@@ -436,10 +462,10 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", regularized=None):
                  for c in couplings]
         star_env = _star_env_states(cfg, stars)
     traj, lost = _simulate(cfg, space, chains, env)
-    _atomic_write(os.path.join(out_dir, f"trajectory{suffix}.csv"),
+    _atomic_write(out_dir, f"trajectory{suffix}.csv",
                   trajectory_csv(traj, space.sys_dim))
-    _atomic_write(os.path.join(out_dir, f"chain{suffix}.json"),
-                  _chain_json(chains))
+    _atomic_write(out_dir, f"chain{suffix}.json",
+                  _json([c.to_json_dict() for c in chains]))
     if cfg.mode == "simulate":
         return {}
 
@@ -449,32 +475,25 @@ def _run_point(cfg: ExperimentConfig, out_dir, tag="", regularized=None):
         star_traj = orc.star_evolve(cfg.model, stars, star_space, psi0,
                                     cfg.t_final, out_step=cfg.out_step)
         star_traj.validate()
-        _atomic_write(os.path.join(out_dir, f"oracle-trajectory{suffix}.csv"),
+        _atomic_write(out_dir, f"oracle-trajectory{suffix}.csv",
                       trajectory_csv(star_traj, star_space.sys_dim))
         dists = dyn.trace_distance(traj.rho_s, star_traj.rho_s)
-        lines = ["t,trace_distance"]
-        lines += [f"{_fmt(t)},{_fmt(d)}" for t, d in zip(traj.times, dists)]
-        _atomic_write(os.path.join(out_dir, f"report{suffix}.csv"),
-                      "\n".join(lines) + "\n")
+        _atomic_write(out_dir, f"report{suffix}.csv",
+                      _csv(["t", "trace_distance"], zip(traj.times, dists)))
         return {}
 
     # certify (also the per-point payload of sweep)
     budget = dyn.assemble_error_budget(
         cfg.model, couplings, chains, space, cfg.t_final, reg_term,
         initial_moments=[st.moments() for st in env], initialization=lost)
-    _atomic_write(os.path.join(out_dir, f"budget{suffix}.json"),
-                  json.dumps(budget.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    _atomic_write(out_dir, f"budget{suffix}.json", _json(budget.to_json_dict()))
     gaps = _measured_gaps(cfg, couplings, space, chains, env, traj, cap_space,
                           long_space)
-    lines = ["kind,certified,measured"]
-    for name in budget.TERMS:
-        measured = gaps.get(name, 0.0)
-        lines.append(",".join([name, _fmt(getattr(budget, name)),
-                               _fmt(measured)]))
-    lines.append(",".join(["total", _fmt(budget.total),
-                           _fmt(max(gaps.values()))]))
-    _atomic_write(os.path.join(out_dir, f"report{suffix}.csv"),
-                  "\n".join(lines) + "\n")
+    rows = [[name, getattr(budget, name), gaps.get(name, 0.0)]
+            for name in budget.TERMS]
+    rows.append(["total", budget.total, max(gaps.values())])
+    _atomic_write(out_dir, f"report{suffix}.csv",
+                  _csv(["kind", "certified", "measured"], rows))
     return {"budget": budget, "gaps": gaps}
 
 
@@ -531,20 +550,12 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, jobs: int):
             rows = dict(pool.map(_sweep_worker, work))
     else:
         rows = dict(map(_sweep_worker, work))
-    cols = ["point", "cutoff_omega", "epsilon", "modes", "particle_cap",
-            "cert_regularization", "cert_cutoff", "cert_chain",
-            "cert_truncation", "cert_initialization", "cert_total",
+    cols = ["cutoff_omega", "epsilon", "modes", "particle_cap",
+            *(f"cert_{name}" for name in dyn.ErrorBudget.TERMS), "cert_total",
             "meas_truncation", "meas_cutoff", "meas_chain"]
-    lines = [",".join(cols)]
-    for tag in tags:
-        row = rows[tag]
-        out = [tag]
-        for c in cols[1:]:
-            val = row[c]
-            out.append(str(int(val)) if c in ("modes", "particle_cap")
-                       else _fmt(val))
-        lines.append(",".join(out))
-    _atomic_write(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
+    _atomic_write(out_dir, "sweep.csv",
+                  _csv(["point", *cols],
+                       ([tag, *(rows[tag][c] for c in cols)] for tag in tags)))
 
 
 def run(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:

@@ -18,8 +18,7 @@ sums a Taylor series in time over pieces of norm up to TAYLOR_PIECE_NORM
 matrix-vector products (60 for a segment of norm 25, 116 for one of norm
 64), the Taylor path about 8: the fock-krylov benchmark run (R = 12.64,
 against ||H||_1 = 16.58 and ||H||_2 = 12.41; norm-time product 25) takes 60
-products in one segment, where R = ||H||_1 and segments of norm 16 took 110
-and the Taylor series 420.
+products in one segment.
 
 Real Hamiltonians propagate in real arithmetic.  `build_hamiltonian_parts`
 assembles float64 parts whenever every value it writes is real (every
@@ -263,13 +262,26 @@ def _majorant(a, beta, n):
     return y
 
 
+def _least(ok, lo):
+    """Smallest integer n >= lo with ok(n), for an `ok` that is false below
+    some n and true from it on: doubling from max(lo, 1) until ok holds,
+    then bisection between the last probe that failed (or lo - 1) and it."""
+    below, n = lo - 1, max(lo, 1)
+    while not ok(n):
+        below, n = n, 2 * n
+    while n - below > 1:
+        mid = (below + n) // 2
+        below, n = (below, mid) if ok(mid) else (mid, n)
+    return n
+
+
 def _taylor_plan(norms, omegas, dt):
     """(pieces, degree) for an output interval of length dt.
 
     `norms` holds the parts' bounds R_k >= ||P_k||_2 (`spectral_bound`).
     Pieces: the fewest equal pieces h with h sum_k R_k e^{|omega_k| h}
-    <= TAYLOR_PIECE_NORM, by doubling and bisection up from the constant
-    count ceil(dt sum_k R_k / TAYLOR_PIECE_NORM).
+    <= TAYLOR_PIECE_NORM (`_least`), at least the constant count
+    ceil(dt sum_k R_k / TAYLOR_PIECE_NORM).
 
     Degree: with a_k = h R_k >= ||h P_k||_2 and beta_k = h |omega_k|,
     |c_{k,j}| <= beta_k^j / j! for either sign of omega_k, so bounding each
@@ -283,18 +295,13 @@ def _taylor_plan(norms, omegas, dt):
     n doubles until the rest is at most 2^-54; the degree is the smallest M
     whose bound is at most 2^-53.
     """
-    def too_long(pieces):
+    def short(pieces):
         h = dt / pieces
         with np.errstate(over="ignore"):      # an overflow is too long
-            return h * float(norms @ np.exp(omegas * h)) > TAYLOR_PIECE_NORM
+            return not h * float(norms @ np.exp(omegas * h)) > TAYLOR_PIECE_NORM
 
-    pieces = max(1, math.ceil(dt * norms.sum() / TAYLOR_PIECE_NORM))
-    fewer = pieces - 1
-    while too_long(pieces):
-        fewer, pieces = pieces, 2 * pieces
-    while pieces - fewer > 1:
-        mid = (fewer + pieces) // 2
-        fewer, pieces = (mid, pieces) if too_long(mid) else (fewer, mid)
+    pieces = _least(short, max(1, math.ceil(dt * norms.sum()
+                                             / TAYLOR_PIECE_NORM)))
     h = dt / pieces
     keep = norms > 0.0
     a, beta = h * norms[keep], h * omegas[keep]
@@ -370,16 +377,9 @@ def _bessel_tail(x, degree):
 
 
 def _chebyshev_degree(x):
-    """Smallest degree K with `_bessel_tail(x, K)` <= 2^-53, by doubling
-    and bisection: the bound falls with K."""
-    fewer, degree = -1, 1
-    while _bessel_tail(x, degree) > 2.0**-53:
-        fewer, degree = degree, 2 * degree
-    while degree - fewer > 1:
-        mid = (fewer + degree) // 2
-        fewer, degree = ((mid, degree) if _bessel_tail(x, mid) > 2.0**-53
-                         else (fewer, mid))
-    return degree
+    """Smallest degree K with `_bessel_tail(x, K)` <= 2^-53 (the bound falls
+    with K)."""
+    return _least(lambda degree: not _bessel_tail(x, degree) > 2.0**-53, 0)
 
 
 def _chebyshev_coefficients(x, degree):

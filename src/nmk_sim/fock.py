@@ -144,6 +144,8 @@ class SystemModel:
         object.__setattr__(self, "_jump_norms", {})    # see `jump_norm`
 
     def _check_local(self, support, mat):
+        if not np.isfinite(mat).all():
+            raise ValueError("operator entries must be finite")
         if any(q < 0 or q >= self.n for q in support):
             raise ValueError("support references qudits outside the register")
         if len(set(support)) != len(support):

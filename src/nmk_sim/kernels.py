@@ -58,6 +58,8 @@ class MemoryKernel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if not np.isfinite(self.phase_poly).all():
+            raise ValueError("phase polynomial coefficients must be finite")
         if self.kind == LORENTZIAN_SUM:
             if not self.lorentzians:
                 raise ValueError("lorentzian_sum kernel needs at least one term")
@@ -565,6 +567,14 @@ class RegularizedCoupling:
                                             self.grid[sel])))
 
 
+def _tail_weight(kernel: MemoryKernel, mollifier: Mollifier, omega):
+    """|rho_hat(Omega eps)|^2 max(mu_hat(Omega), mu_hat(-Omega)): the weight
+    of the coupling at the edges of the grid [-Omega, Omega]."""
+    tail_rho = float(mollifier.fourier(np.array([omega * mollifier.epsilon]))[0])
+    return tail_rho**2 * max(eval_spectral_density(kernel, omega),
+                             eval_spectral_density(kernel, -omega))
+
+
 def regularize(kernel: MemoryKernel, mollifier: Mollifier,
                grid) -> RegularizedCoupling:
     """Build the (eps, rho)-regularization of the kernel on [-Omega, Omega].
@@ -576,11 +586,7 @@ def regularize(kernel: MemoryKernel, mollifier: Mollifier,
     if n_points < 64:
         raise ValueError("need at least 64 grid points")
     eps = mollifier.epsilon
-    tail_rho = float(mollifier.fourier(np.array([omega_max * eps]))[0])
-    tail = tail_rho**2 * max(
-        eval_spectral_density(kernel, omega_max),
-        eval_spectral_density(kernel, -omega_max),
-    )
+    tail = _tail_weight(kernel, mollifier, omega_max)
     if tail >= 1e-12:
         raise TailNotNegligible(
             f"|rho_hat(Omega eps)|^2 mu_hat(Omega) = {tail:.2e} >= 1e-12"
@@ -601,10 +607,7 @@ def choose_grid(kernel: MemoryKernel, mollifier: Mollifier,
     """Pick (Omega, n_points) with a negligible truncated tail."""
     omega = max(omega_start, 8.0 / mollifier.epsilon)
     for _ in range(60):
-        tail_rho = float(mollifier.fourier(np.array([omega * mollifier.epsilon]))[0])
-        mu_edge = max(eval_spectral_density(kernel, omega),
-                      eval_spectral_density(kernel, -omega))
-        if tail_rho**2 * mu_edge < 1e-13:
+        if _tail_weight(kernel, mollifier, omega) < 1e-13:
             return omega, n_points
         omega *= 1.3
     raise TailNotNegligible("could not find a grid with negligible tail")

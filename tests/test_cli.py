@@ -444,6 +444,57 @@ def test_lorentzian_gamma_squared_overflow_is_exit_two(tmp_path, capsys,
     assert not out.exists()
 
 
+def _set(*keys, value):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("mode", ["simulate", "certify", "compare-oracle"])
+@pytest.mark.parametrize("edit, where", [
+    (_set("t_final", value=math.nan), "at t_final"),
+    (_set("out_step", value=math.nan), "at out_step"),
+    (_set("system", "hamiltonian", 0, "scale", value=math.nan),
+     "at system/hamiltonian/0/scale"),
+    (_set("system", "hamiltonian", 0, "scale", value=math.inf), "at system"),
+    (_set("system", "jumps", 0, "scale", value=math.nan),
+     "at system/jumps/0/scale"),
+    (_set("system", "jumps", 0, "scale", value=math.inf), "at system"),
+    (_set("baths", 0, "kernel", "phase_poly", value=[0.0, math.nan]),
+     "at baths/0/kernel/phase_poly/1"),
+    (_set("baths", 0, "kernel", "phase_poly", value=[0.0, math.inf]),
+     "at baths/0/kernel"),
+    (_set("regularization", value={"omega_max": math.nan}),
+     "at regularization/omega_max"),
+    (_set("regularization", value={"omega_max": math.inf}),
+     "at regularization/omega_max"),
+    (_set("mollifier", "epsilon", value=math.nan), "at mollifier/epsilon"),
+    (_set("cutoff_omega", value=math.nan), "at cutoff_omega"),
+], ids=["t_final-NaN", "out_step-NaN", "term-scale-NaN", "term-scale-Infinity",
+        "jump-scale-NaN", "jump-scale-Infinity", "phase_poly-NaN",
+        "phase_poly-Infinity", "omega_max-NaN", "omega_max-Infinity",
+        "epsilon-NaN", "cutoff_omega-NaN"])
+def test_non_finite_config_number_is_exit_two(tmp_path, capsys, edit, where,
+                                              mode):
+    # JSON's NaN and Infinity pass the parser, and NaN passes every schema
+    # bound: the config is refused at load instead of ending in a traceback
+    # (a NaN step count, an SVD that does not converge, a NaN budget term)
+    doc = _shipped("lorentzian-desk.json")
+    edit(doc)
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([mode, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}:")
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["simulate", "certify"])
 def test_lorentzian_center_in_float_range_runs(tmp_path, mode):
     # a center far outside the cutoff whose square still fits a float runs

@@ -240,7 +240,7 @@ def test_chebyshev_run_matches_expm_at_every_output(theta, rows, segments):
     assert len(_segment_degrees(stack.norms[0], times)) == segments
 
 
-@pytest.mark.parametrize("x", np.logspace(-4.0, 3.0, 15))
+@pytest.mark.parametrize("x", [0.0, *np.logspace(-4.0, 3.0, 15)])
 def test_chebyshev_tail_bound_holds(x):
     # the bound at the planned degree K is at most 2^-53, the one at K - 1
     # is not, and the bound is at least the true 2 sum_{k > K} |J_k(x)|
@@ -537,6 +537,28 @@ def test_taylor_terms_within_majorant(ode_states, seed):
     assert y[degree + 1:].sum() <= 2.0**-53 < 2.0 * y[degree:].sum()
     want = ode_states(parts, profiles, psi, np.array([t0, t0 + h]))[-1]
     assert np.linalg.norm(sum(terms[1:], terms[0]) - want) <= 2.0**-53 + 1e-14
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_taylor_piece_count_is_smallest(seed):
+    # the random drives of test_taylor_terms_within_majorant (|omega| up to
+    # 50) need more pieces than the constant count ceil(sum_k R_k / 4), so
+    # the search doubles and bisects: the planned count keeps every piece
+    # h sum_k R_k e^{|omega_k| h} within TAYLOR_PIECE_NORM, one fewer does not
+    rng = np.random.default_rng(seed)
+    parts = _hermitian_parts(rng, 12, 3)
+    profiles = [TimeProfile(kind, omega) for kind, omega in
+                zip(rng.choice(["cos", "sin"], 2), rng.uniform(-50, 50, 2))]
+    omegas = np.abs([0.0] + [f.frequency for f in profiles])
+    norms = dyn.PartStack(parts).norms
+    pieces, _ = dyn._taylor_plan(norms, omegas, 1.0)
+
+    def piece_norm(count):
+        h = 1.0 / count
+        return h * float(norms @ np.exp(omegas * h))
+
+    assert pieces > math.ceil(norms.sum() / dyn.TAYLOR_PIECE_NORM)
+    assert piece_norm(pieces) <= dyn.TAYLOR_PIECE_NORM < piece_norm(pieces - 1)
 
 
 def test_profile_taylor_coefficients():
