@@ -156,15 +156,32 @@ class ExperimentConfig:
             except (ValueError, NmkSimError) as exc:
                 raise SchemaViolation(f"at baths/{i}/kernel: {exc}") from exc
         env_docs = tuple(b.get("initial", {"type": "vacuum"}) for b in baths)
+        for i, env in enumerate(env_docs):
+            disp = env.get("displacements", {"re": []})
+            if len(disp.get("im", disp["re"])) != len(disp["re"]):
+                raise SchemaViolation(
+                    f"at baths/{i}/initial: displacements need as many im "
+                    "as re entries")
 
         mol_doc = doc["mollifier"]
+        reg = doc.get("regularization")
+        sweep = doc.get("sweep", {})
+        # an infinite grid scale passes every schema bound, and no grid
+        # resolves it
+        scales = [("mollifier/epsilon", mol_doc["epsilon"]),
+                  ("cutoff_omega", doc["cutoff_omega"])]
+        if reg:
+            scales.append(("regularization/omega_max", reg["omega_max"]))
+        scales += [(f"sweep/{axis}/{j}", value)
+                   for axis in ("epsilon", "cutoff_omega")
+                   for j, value in enumerate(sweep.get(axis, []))]
+        for path, value in scales:
+            if not math.isfinite(value):
+                raise SchemaViolation(f"at {path}: {value} is not finite")
+
         mollifier = ker.Mollifier(mol_doc["epsilon"],
                                   mol_doc.get("family", "standard_bump"))
-        reg = doc.get("regularization")
         reg_grid = (reg["omega_max"], reg.get("n_points", 8193)) if reg else None
-        if reg_grid and not math.isfinite(reg_grid[0]):
-            raise SchemaViolation(
-                f"at regularization/omega_max: {reg_grid[0]} is not finite")
 
         init = sysdoc.get("initial", {"basis_state": 0})
         if "amplitudes" in init:

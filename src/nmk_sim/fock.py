@@ -19,6 +19,7 @@ complex128 otherwise; `hamiltonian_bytes` sizes them by the same rule.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -315,15 +316,17 @@ def enumerate_basis(n: int, d: int, baths: int, modes: int, cap: int) -> Truncat
     return TruncatedSpace(n, d, baths, modes, cap)
 
 
-def _moves(space: TruncatedSpace, to_next: bool = False):
-    """(row, mode j, target row) of every quantum leaving an occupied mode j:
-    n -> n - e_j, or n -> n - e_j + e_{j+1} with `to_next`.  Both keep the
-    table's order and are onto the rows below the cap, or with n_{j+1} >= 1."""
-    table = space.table
-    mode, row = np.nonzero(table[:, :space.modes - to_next].T)
-    targets = table[:, 1:].T if to_next else np.broadcast_to(
-        table.sum(axis=1) < space.cap, (space.modes, len(table)))
-    return row, mode, np.nonzero(targets)[1]
+def _moves(space: TruncatedSpace):
+    """(row, mode j, target row) of every quantum leaving an occupied mode j,
+    mode by mode: first for n -> n - e_j, then for n -> n - e_j + e_{j+1}
+    (j below the last mode).  Both keep the table's order and are onto the
+    rows below the cap, or onto the rows with n_{j+1} >= 1: the occupied
+    entries of modes 1, 2, ... in turn."""
+    mode, row = np.divmod(np.flatnonzero(space.table.T != 0), len(space.table))
+    last, first = np.searchsorted(mode, [space.modes - 1, 1])
+    below = np.flatnonzero(space.table.sum(axis=1) < space.cap)
+    return ((row, mode, below[None].repeat(space.modes, axis=0).ravel()),
+            (row[:last], mode[:last], row[first:]))
 
 
 def _lift(space: TruncatedSpace, bath: int, system, rows, cols, vals):
@@ -346,13 +349,52 @@ def _lift(space: TruncatedSpace, bath: int, system, rows, cols, vals):
         index(s_row, rows), index(s_col, cols))), shape=(space.dimension,) * 2)
 
 
-def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
-    """(constant part, [(term, profile), ...]) of the dilated Hamiltonian.
+def hamiltonian_terms(model: SystemModel, space: TruncatedSpace):
+    """Every term of the dilated Hamiltonian, in summation order, as
+    (part, bath, system operator, block rows, block columns, amplitudes).
 
-    Constant part: every bath's quadratic form and its coupling
-    L_alpha a^dag(g_alpha) + h.c. (module docstring), plus the
-    constant-profile system terms.  Non-constant system terms are returned
-    separately so repeated builds only rescale cached matrices.
+    A term is the system operator (x) the block of entries (rows, cols) on
+    bath `bath` (x) identity on the other baths (`_lift`); the block's values
+    are `amplitudes(onsite, hopping, couplings)` of that bath, taken only
+    when called, so a count reads the layout alone.  Each bath in
+    turn gives its quadratic form (the onsite diagonal, then the hops to and
+    from the next mode), its coupling L a^dag(g) and that coupling's
+    adjoint, all in part 0; the adjoint's amplitudes are None, as it is the
+    conjugate transpose of the term before it.  Then each system term acts
+    on every block state: in part 0 when constant, in part k when it is the
+    k-th profiled term.
+    """
+    table = space.table
+    (row, mode, lower), (hop_from, hop_mode, hop_to) = _moves(space)
+    diag = np.arange(space.block_size)
+    quad_rows = np.concatenate([diag, hop_to, hop_from])
+    quad_cols = np.concatenate([diag, hop_from, hop_to])
+
+    def quadratic(onsite, hopping, couplings):
+        hop = hopping[hop_mode] * np.sqrt(
+            table[hop_from, hop_mode] * (table[hop_from, hop_mode + 1] + 1))
+        return np.concatenate([table @ onsite, hop, np.conj(hop)])
+
+    def coupling(onsite, hopping, couplings):
+        return couplings[mode] * np.sqrt(table[row, mode])
+
+    for alpha in range(space.baths):
+        jump = model.jump_matrix(alpha)
+        yield 0, alpha, np.eye(space.sys_dim), quad_rows, quad_cols, quadratic
+        yield 0, alpha, jump, row, lower, coupling
+        yield 0, alpha, jump.conj().T, lower, row, None
+    profiled = itertools.count(1)
+    for mat, profile in model.hs_operators:
+        yield (0 if profile.is_constant else next(profiled), 0, mat, diag,
+               diag, lambda *bath: np.ones(space.block_size))
+
+
+def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
+    """(constant part, [(term, profile), ...]) of the dilated Hamiltonian:
+    each of `hamiltonian_terms`, lifted by `_lift` (a coupling's adjoint
+    taken as the conjugate transpose of the lifted coupling) and added to
+    its part in list order.  Profiled system terms are parts of their own,
+    so repeated builds only rescale cached matrices.
 
     Every part is float64 when every value written is real (the model's
     embedded operators, each bath's onsite energies, hoppings and couplings;
@@ -364,77 +406,46 @@ def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
     if len(baths) != space.baths or any(
             np.shape(b.onsite) != (space.modes,) for b in baths):
         raise ShapeMismatch("need one bath of `modes` modes per space bath")
-    real = model.real and not any(np.any(np.imag(a)) for b in baths
-                                  for a in (b.onsite, b.hopping, b.couplings))
+    arrays = [(b.onsite, b.hopping, b.couplings) for b in baths]
+    real = model.real and not any(np.any(np.imag(a)) for bath in arrays
+                                  for a in bath)
     values = np.real if real else np.asarray
 
-    table = space.table
-    row, mode, lower = _moves(space)
-    raise_amp = np.sqrt(table[row, mode])
-    hop_from, hop_mode, hop_to = _moves(space, to_next=True)
-    hop_amp = np.sqrt(table[hop_from, hop_mode]
-                      * (table[hop_from, hop_mode + 1] + 1))
-    diag = np.arange(space.block_size)
-    quad_rows = np.concatenate([diag, hop_to, hop_from])
-    quad_cols = np.concatenate([diag, hop_from, hop_to])
-
-    dim = space.dimension
-    h_const = sp.csr_matrix((dim, dim), dtype=float if real else complex)
-    for alpha, bath in enumerate(baths):
-        hop = values(bath.hopping)[hop_mode] * hop_amp
-        quadratic = np.concatenate([table @ values(bath.onsite), hop,
-                                    np.conj(hop)])
-        h_const = h_const + _lift(space, alpha, np.eye(space.sys_dim),
-                                  quad_rows, quad_cols, quadratic)
-        coupling = _lift(space, alpha, values(model.jump_matrix(alpha)), row,
-                         lower, values(bath.couplings)[mode] * raise_amp)
-        h_const = h_const + coupling
-        h_const = h_const + coupling.conj().T
-
-    profiled = []
-    for mat, profile in model.hs_operators:
-        term = _lift(space, 0, values(mat), diag, diag,
-                     np.ones(space.block_size))
-        if profile.is_constant:
-            h_const = h_const + term
-        else:
-            profiled.append((term, profile))
-    return h_const, profiled
+    parts = {0: sp.csr_matrix((space.dimension,) * 2,
+                              dtype=float if real else complex)}
+    for part, alpha, system, rows, cols, amplitudes in hamiltonian_terms(
+            model, space):
+        term = term.conj().T if amplitudes is None else _lift(
+            space, alpha, values(system), rows, cols,
+            amplitudes(*map(values, arrays[alpha])))
+        parts[part] = parts[part] + term if part in parts else term
+    profiles = [p for _, p in model.hs_operators if not p.is_constant]
+    return parts[0], [(parts[k], p) for k, p in enumerate(profiles, 1)]
 
 
 def hamiltonian_bytes(model: SystemModel, space: TruncatedSpace,
                       complex_couplings: bool = False) -> int:
-    """Upper estimate of the CSR bytes of `build_hamiltonian_parts`' output.
+    """Upper estimate of the CSR bytes of `build_hamiltonian_parts`' output,
+    counted from `hamiltonian_terms` before anything is assembled.
 
-    Counts the nonzeros of every lifted block, known from the occupation
-    table and the register's operators before anything is assembled.  Every
-    bath's onsite energies and each constant system term's diagonal share
-    the constant part's diagonal, at most `dimension` entries, counted once.
-    Off it: each bath's hops on every system state, each jump operator and
-    its adjoint against the raising block, and each constant system term on
-    every environment state.  Each profiled system term is a part of its
-    own, counted whole.  A nonzero takes 4 bytes of column index and 8 of
-    real value, or 16 of complex value when the model is not `real` or
-    `complex_couplings` says that some bath's couplings are complex (a
-    star with a phase; a chain's are real); each part takes 4 (dimension +
-    1) bytes of row pointers.
+    Every term may write each of its system operator's nonzeros against
+    each of its block entries on every state of the other baths.  The
+    diagonal entries of the constant part's terms share its diagonal, at
+    most `dimension` entries, counted once.  A nonzero takes 4 bytes of
+    column index and 8 of real value, or 16 of complex value when the model
+    is not `real` or `complex_couplings` says that some bath's couplings are
+    complex (a star with a phase; a chain's are real); each part takes
+    4 (dimension + 1) bytes of row pointers.
     """
-    occupied = int(np.count_nonzero(space.table))
-    hops = int(np.count_nonzero(space.table[:, :-1]))
     other_baths = space.block_size ** (space.baths - 1)
-    jumps = sum(int(np.count_nonzero(op))
-                for op in model.jump_operators.values())
-    bath_terms = 2 * (space.baths * space.sys_dim * hops + occupied * jumps)
-    nnz = space.dimension + other_baths * bath_terms
-    parts = 1
-    for op, profile in model.hs_operators:
-        nnz += space.env_dim * int(np.count_nonzero(op))
-        if profile.is_constant:
-            nnz -= space.env_dim * int(np.count_nonzero(np.diagonal(op)))
-        else:
-            parts += 1
+    nnz, parts = space.dimension, {0}
+    for part, _, system, rows, cols, _ in hamiltonian_terms(model, space):
+        shared = 0 if part else np.count_nonzero(rows == cols)
+        nnz += other_baths * int(len(rows) * np.count_nonzero(system) - shared
+                                 * np.count_nonzero(np.diagonal(system)))
+        parts.add(part)
     value = 8 if model.real and not complex_couplings else 16
-    return (value + 4) * nnz + 4 * (space.dimension + 1) * parts
+    return (value + 4) * nnz + 4 * (space.dimension + 1) * len(parts)
 
 
 # -- initial environment states ----------------------------------------------

@@ -471,11 +471,18 @@ def _set(*keys, value):
     (_set("regularization", value={"omega_max": math.inf}),
      "at regularization/omega_max"),
     (_set("mollifier", "epsilon", value=math.nan), "at mollifier/epsilon"),
+    (_set("mollifier", "epsilon", value=math.inf), "at mollifier/epsilon"),
     (_set("cutoff_omega", value=math.nan), "at cutoff_omega"),
+    (_set("cutoff_omega", value=math.inf), "at cutoff_omega"),
+    (_set("sweep", value={"epsilon": [0.05, math.inf]}), "at sweep/epsilon/1"),
+    (_set("sweep", value={"cutoff_omega": [math.inf]}),
+     "at sweep/cutoff_omega/0"),
 ], ids=["t_final-NaN", "out_step-NaN", "term-scale-NaN", "term-scale-Infinity",
         "jump-scale-NaN", "jump-scale-Infinity", "phase_poly-NaN",
         "phase_poly-Infinity", "omega_max-NaN", "omega_max-Infinity",
-        "epsilon-NaN", "cutoff_omega-NaN"])
+        "epsilon-NaN", "epsilon-Infinity", "cutoff_omega-NaN",
+        "cutoff_omega-Infinity", "sweep-epsilon-Infinity",
+        "sweep-cutoff_omega-Infinity"])
 def test_non_finite_config_number_is_exit_two(tmp_path, capsys, edit, where,
                                               mode):
     # JSON's NaN and Infinity pass the parser, and NaN passes every schema
@@ -492,6 +499,33 @@ def test_non_finite_config_number_is_exit_two(tmp_path, capsys, edit, where,
     assert err.startswith(f"config error: {where}:")
     assert "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["simulate", "certify", "compare-oracle"])
+@pytest.mark.parametrize("edit, where, message", [
+    (_set("regularization", value={"n_points": 100}), "at regularization",
+     "'omega_max' is a required property"),
+    (_set("baths", 0, "initial", value={"type": "single_photon"}),
+     "at baths/0/initial", "'wavepacket' is a required property"),
+    (_set("baths", 0, "initial", value={"type": "coherent"}),
+     "at baths/0/initial", "'displacements' is a required property"),
+    (_set("baths", 0, "initial", value={
+        "type": "coherent", "displacements": {"re": [0.1, 0.0], "im": [0.0]}}),
+     "at baths/0/initial", "displacements need as many im as re entries"),
+], ids=["regularization-without-omega_max", "single_photon-without-wavepacket",
+        "coherent-without-displacements", "coherent-im-length"])
+def test_malformed_document_is_exit_two(tmp_path, capsys, edit, where,
+                                        message, mode):
+    # a document the code cannot read is refused at load instead of ending
+    # in a KeyError or ValueError traceback
+    doc = _shipped("lorentzian-desk.json")
+    edit(doc)
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert cli.main([mode, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {where}: {message}\n"
     assert not out.exists()
 
 

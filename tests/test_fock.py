@@ -272,6 +272,53 @@ def test_hamiltonian_bytes_bounds_assembled_matrix():
         assert got <= estimate <= 2 * got
 
 
+def _ref_hamiltonian_bytes(model, space, complex_couplings=False):
+    # the same count in closed form, from the occupation table and the
+    # operators' nonzeros: one diagonal of `dimension` entries, each bath's
+    # hops and each jump and its adjoint against every occupied mode, each
+    # system term off the diagonal (whole when profiled)
+    occupied = int(np.count_nonzero(space.table))
+    hops = int(np.count_nonzero(space.table[:, :-1]))
+    other_baths = space.block_size ** (space.baths - 1)
+    jumps = sum(int(np.count_nonzero(op))
+                for op in model.jump_operators.values())
+    bath_terms = 2 * (space.baths * space.sys_dim * hops + occupied * jumps)
+    nnz = space.dimension + other_baths * bath_terms
+    parts = 1
+    for op, profile in model.hs_operators:
+        nnz += space.env_dim * int(np.count_nonzero(op))
+        if profile.is_constant:
+            nnz -= space.env_dim * int(np.count_nonzero(np.diagonal(op)))
+        else:
+            parts += 1
+    value = 8 if model.real and not complex_couplings else 16
+    return (value + 4) * nnz + 4 * (space.dimension + 1) * parts
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_hamiltonian_bytes_matches_closed_form(seed):
+    # random registers of 1-2 qubits with constant and profiled terms, 1-3
+    # baths (not every one with a jump) and a jump with a diagonal
+    rng = np.random.default_rng(seed)
+    n, count = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+    local = [SIGMA_X, SIGMA_Z, fock.SIGMA_Y, 0.3 * SIGMA_Z + SIGMA_MINUS]
+    terms = [((int(rng.integers(n)),), local[rng.integers(3)],
+              TimeProfile(("const", "cos", "sin")[rng.integers(3)], 1.0))
+             for _ in range(rng.integers(0, 4))]
+    if n == 2:
+        terms.append(((0, 1), np.kron(SIGMA_Z, SIGMA_Z), TimeProfile()))
+    jumps = [((int(rng.integers(n)),), local[rng.integers(4)],
+              int(rng.integers(count))) for _ in range(rng.integers(1, 4))]
+    jumps.append(((0,), local[3], 0))
+    model = SystemModel(n, 2, terms, jumps)
+    space = enumerate_basis(n, 2, count, int(rng.integers(1, 4)),
+                            int(rng.integers(0, 4)))
+    for phased in (False, True):
+        got = hamiltonian_bytes(model, space, complex_couplings=phased)
+        assert type(got) is int
+        assert got == _ref_hamiltonian_bytes(model, space, phased)
+
+
 def test_shape_mismatch_rejected(desk_setup):
     model, coeffs, space = desk_setup
     bad = ChainCoefficients(np.zeros(3), np.zeros(2), 0.5, 1.0, 3)
@@ -613,7 +660,7 @@ def test_rank_inverts_table(modes, cap):
 def test_moves_follow_table_order(modes, cap, to_next):
     space = enumerate_basis(1, 2, 1, modes, cap)
     table = space.table
-    row, mode, target = fock._moves(space, to_next)
+    row, mode, target = fock._moves(space)[to_next]
     step = np.zeros((row.size, modes + 1), dtype=np.int64)
     step[np.arange(row.size), mode] = 1
     step[np.arange(row.size), mode + 1] -= to_next
