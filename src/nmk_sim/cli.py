@@ -162,6 +162,13 @@ class ExperimentConfig:
                 raise SchemaViolation(
                     f"at baths/{i}/initial: displacements need as many im "
                     "as re entries")
+            # the wavepacket divides by width**2, which must neither
+            # overflow nor vanish
+            width = env.get("wavepacket", {}).get("width", 1.0)
+            if not 0.0 < width * width < math.inf:
+                raise SchemaViolation(
+                    f"at baths/{i}/initial/wavepacket/width: width**2 of "
+                    f"{width:g} is not a positive finite float")
 
         mol_doc = doc["mollifier"]
         reg = doc.get("regularization")
@@ -287,6 +294,14 @@ def _no_photon_weight(cfg, bath, wp):
         f"no weight below cutoff_omega {cfg.cutoff_omega:g}")
 
 
+def _wavepacket(wp, w, squared=False):
+    """exp(-(w - center)^2 / (2 width^2)) at the frequencies w, or its square;
+    an exponent that overflows (a narrow packet far from w) gives 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-((w - wp["center"]) ** 2)
+                      / ((1.0 if squared else 2.0) * wp["width"] ** 2))
+
+
 def _env_states(cfg, chains, couplings):
     states = []
     for i, (doc, coeffs, coupling) in enumerate(zip(cfg.env_docs, chains,
@@ -297,7 +312,7 @@ def _env_states(cfg, chains, couplings):
         elif kind == "single_photon":
             wp = doc["wavepacket"]
             w = coupling.grid
-            xi = np.exp(-((w - wp["center"]) ** 2) / (2.0 * wp["width"] ** 2))
+            xi = _wavepacket(wp, w)
             norm_sq = float(np.trapezoid(np.abs(xi) ** 2, w))
             if norm_sq == 0.0:
                 raise _no_photon_weight(cfg, i, wp)
@@ -332,8 +347,7 @@ def _star_env_states(cfg, stars):
             states.append(fock.InitialEnvState())
         else:   # single photon; `_run_point` refuses coherent states
             wp = doc["wavepacket"]
-            xi = np.exp(-((star.omegas - wp["center"]) ** 2)
-                        / (2.0 * wp["width"] ** 2)).astype(complex)
+            xi = _wavepacket(wp, star.omegas).astype(complex)
             norm = np.linalg.norm(xi)
             if norm == 0.0:
                 raise _no_photon_weight(cfg, i, wp)
@@ -357,7 +371,7 @@ def _state_constants(cfg, couplings):
         else:
             wp = doc["wavepacket"]
             w = coupling.grid
-            xi2 = np.exp(-((w - wp["center"]) ** 2) / wp["width"] ** 2)
+            xi2 = _wavepacket(wp, w, squared=True)
             mass = float(np.trapezoid(xi2, w))
             if mass == 0.0:
                 raise _no_photon_weight(cfg, i, wp)

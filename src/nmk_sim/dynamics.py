@@ -22,14 +22,14 @@ products in one segment.
 
 Real Hamiltonians propagate in real arithmetic.  `build_hamiltonian_parts`
 assembles float64 parts whenever every value it writes is real (every
-shipped config and benchmark model), and a real `PartStack` never takes
-scipy's mixed real-complex product: a complex vector takes two real
-products.  A Chebyshev segment on a real stack from a state with zero
-imaginary part runs its recurrence on real vectors, as T_k(H / R) psi stays
-real, and each adds into only the real part (even k, whose coefficient
-(2 - delta_k0) (-i)^k J_k is real) or only the imaginary part (odd k) of
-each output row; every other segment, and every complex model, runs
-complex.  The fock-krylov run's 60 products are all real.
+shipped config and benchmark model), and a real `PartStack` never converts
+its matrix to complex: a complex vector takes one real product with two
+columns, its real and imaginary parts.  A Chebyshev segment on a real stack
+from a state with zero imaginary part runs its recurrence on real vectors,
+as T_k(H / R) psi stays real, and each adds into only the real part (even k,
+whose coefficient (2 - delta_k0) (-i)^k J_k is real) or only the imaginary
+part (odd k) of each output row; every other segment, and every complex
+model, runs complex.  The fock-krylov run's 60 products are all real.
 
 The budget items mirror the approximation pipeline: mollifier
 regularization, frequency cutoff, chain truncation, and particle-number
@@ -43,8 +43,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
+from . import csr
 from .chain import chain_error_bound_value, chain_error_single
 from .errors import (
     EpsilonTooLarge,
@@ -201,14 +201,14 @@ def spectral_bound(part):
     ratio u and the final product u, so the computed c times
     1 + (n + 4) 2^-52 bounds the exact one.  A NaN entry makes the bound
     NaN, an infinite one infinite or NaN."""
-    moduli = sp.csr_matrix((np.abs(part.data), part.indices, part.indptr),
-                           shape=part.shape, copy=False)
+    moduli = csr.CSR(np.abs(part.data), part.indices, part.indptr,
+                     part.shape)
     longest = int(np.diff(part.indptr).max())
     x = np.ones(part.shape[0])
     bound = math.inf
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(POWER_STEPS + 1):
-            ax = moduli @ x
+            ax = csr.matvec(moduli, x)
             bound = np.minimum(bound, np.max(ax / x))
             x += ax
             x /= x.max()
@@ -218,32 +218,32 @@ def spectral_bound(part):
 
 
 class PartStack:
-    """Hamiltonian parts P_0, P_1, ..., P_K stacked vertically into one
-    ((K + 1) dim, dim) CSR operator, so that one product returns every
-    P_k phi; a single part is held as it is, not copied.  Every part must
-    be Hermitian: `SystemModel` rejects non-Hermitian system terms and the
-    bath part is Hermitian by construction.  `norms` holds each part's
-    `spectral_bound` on its 2-norm, taken once here.  The stack is `real`
-    when its parts are (`build_hamiltonian_parts` assembles real parts for
-    real values), and then keeps every product in real arithmetic."""
+    """Hamiltonian parts P_0, P_1, ..., P_K (`csr.CSR` or scipy CSR
+    matrices) stacked vertically into one ((K + 1) dim, dim) CSR operator,
+    so that one product returns every P_k phi; a single part is held as it
+    is, not copied.  Every part must be Hermitian: `SystemModel` rejects
+    non-Hermitian system terms and the bath part is Hermitian by
+    construction.  `norms` holds each part's `spectral_bound` on its
+    2-norm, taken once here.  The stack is `real` when its parts are
+    (`build_hamiltonian_parts` assembles real parts for real values), and
+    then keeps every product in real arithmetic."""
 
     def __init__(self, parts):
         self.norms = np.array([spectral_bound(p) for p in parts])
-        self._stack = (parts[0] if len(parts) == 1
-                       else sp.vstack(parts, format="csr"))
+        self._stack = parts[0] if len(parts) == 1 else csr.vstack(parts)
         self.real = not np.iscomplexobj(self._stack.data)
 
     def products(self, phi):
         """(K + 1, dim) array whose row k is P_k phi.  A complex phi on a
-        real stack takes two real products, one on its real part and one on
-        its imaginary part: scipy's mixed real-complex product converts the
-        matrix to complex on every call."""
+        real stack takes one real product with two columns, the (dim, 2)
+        float view of phi, whose rows hold its real and imaginary parts: a
+        mixed real-complex product would convert the matrix to complex on
+        every call."""
         if self.real and np.iscomplexobj(phi):
-            out = np.empty(self._stack.shape[0], dtype=complex)
-            out.real = self._stack @ phi.real
-            out.imag = self._stack @ phi.imag
+            pairs = np.ascontiguousarray(phi).view(float).reshape(-1, 2)
+            out = csr.matvecs(self._stack, pairs).view(complex).ravel()
         else:
-            out = self._stack @ phi
+            out = csr.matvec(self._stack, phi)
         return out.reshape(self.norms.size, -1)
 
 

@@ -55,7 +55,9 @@ class StepControlFailure(NmkSimError):
 
 
 class UnsupportedInitialState(NmkSimError):
-    """Initial environment state has no computable regularity constants."""
+    """Initial environment state that a run cannot take: no weight in the
+    truncated space or below the cutoff, no computable regularity
+    constants, or a kind an oracle does not support."""
 
 
 class SchemaViolation(NmkSimError):

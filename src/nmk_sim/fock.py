@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import DimensionOverflow, ShapeMismatch
+from .csr import CSR
+from .errors import DimensionOverflow, ShapeMismatch, UnsupportedInitialState
 
 STATE_CAP = 2**24
 # Largest assembled Hamiltonian, in estimated CSR bytes, that a run may build
@@ -330,10 +330,10 @@ def _moves(space: TruncatedSpace):
 
 
 def _lift(space: TruncatedSpace, bath: int, system, rows, cols, vals):
-    """CSR `system` (x) (block (rows, cols, vals) on one bath, zeros dropped)
-    (x) identity on the other baths: entries (s, s') and (b, b') give row
-    (s, l, b, r), column (s', l, b', r) for each l (baths before) and r
-    (after)."""
+    """`CSR` of `system` (x) (block (rows, cols, vals) on one bath, zeros
+    dropped) (x) identity on the other baths: entries (s, s') and (b, b')
+    give row (s, l, b, r), column (s', l, b', r) for each l (baths before)
+    and r (after)."""
     keep = vals != 0
     s_row, s_col = np.nonzero(system)
     right = space.block_size ** (space.baths - 1 - bath)
@@ -345,8 +345,8 @@ def _lift(space: TruncatedSpace, bath: int, system, rows, cols, vals):
         return np.add.outer(at.astype(np.int32), shift).ravel()
 
     vals = np.multiply.outer(system[s_row, s_col], vals[keep]).ravel()
-    return sp.csr_matrix((np.repeat(vals, shift.size), (
-        index(s_row, rows), index(s_col, cols))), shape=(space.dimension,) * 2)
+    return CSR.from_triplets(np.repeat(vals, shift.size), index(s_row, rows),
+                             index(s_col, cols), (space.dimension,) * 2)
 
 
 def hamiltonian_terms(model: SystemModel, space: TruncatedSpace):
@@ -390,11 +390,12 @@ def hamiltonian_terms(model: SystemModel, space: TruncatedSpace):
 
 
 def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
-    """(constant part, [(term, profile), ...]) of the dilated Hamiltonian:
-    each of `hamiltonian_terms`, lifted by `_lift` (a coupling's adjoint
-    taken as the conjugate transpose of the lifted coupling) and added to
-    its part in list order.  Profiled system terms are parts of their own,
-    so repeated builds only rescale cached matrices.
+    """(constant part, [(term, profile), ...]) of the dilated Hamiltonian, as
+    `csr.CSR` matrices: each of `hamiltonian_terms`, lifted by `_lift` (a
+    coupling's adjoint taken as the conjugate transpose of the lifted
+    coupling) and added to its part in list order, with the bits that
+    `scipy.sparse` gives the same sums.  Profiled system terms are parts of
+    their own, so repeated builds only rescale cached matrices.
 
     Every part is float64 when every value written is real (the model's
     embedded operators, each bath's onsite energies, hoppings and couplings;
@@ -411,11 +412,11 @@ def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
                                   for a in bath)
     values = np.real if real else np.asarray
 
-    parts = {0: sp.csr_matrix((space.dimension,) * 2,
-                              dtype=float if real else complex)}
+    parts = {0: CSR.zeros((space.dimension,) * 2,
+                          dtype=float if real else complex)}
     for part, alpha, system, rows, cols, amplitudes in hamiltonian_terms(
             model, space):
-        term = term.conj().T if amplitudes is None else _lift(
+        term = term.adjoint() if amplitudes is None else _lift(
             space, alpha, values(system), rows, cols,
             amplitudes(*map(values, arrays[alpha])))
         parts[part] = parts[part] + term if part in parts else term
@@ -502,7 +503,9 @@ def assemble_initial_state(space: TruncatedSpace, sys_state,
     """Full normalized state vector and the total initialization weight lost.
 
     ``sys_state`` is a dense system vector; ``env_states`` holds one
-    InitialEnvState per bath.
+    InitialEnvState per bath.  A bath state whose norm in the space is zero
+    or not finite (a coherent displacement the cap cannot hold) raises
+    `UnsupportedInitialState`.
     """
     if len(env_states) != space.baths:
         raise ShapeMismatch("need one environment state per bath")
@@ -512,7 +515,7 @@ def assemble_initial_state(space: TruncatedSpace, sys_state,
 
     blocks = []
     lost = 0.0
-    for st in env_states:
+    for bath, st in enumerate(env_states):
         vec = np.zeros(space.block_size, dtype=complex)
         if st.kind == "vacuum":
             vec[0] = 1.0
@@ -529,16 +532,22 @@ def assemble_initial_state(space: TruncatedSpace, sys_state,
                 raise ShapeMismatch("displacements need length modes")
             root_fact = np.sqrt([float(math.factorial(k))
                                  for k in range(space.cap + 1)])
-            vec = np.full(space.block_size,
-                          np.exp(-0.5 * float(np.sum(np.abs(disp) ** 2))))
-            for j, occ in enumerate(space.table.T):
-                vec = vec * disp[j] ** occ / root_fact[occ]
+            # a displacement the cap cannot hold underflows the weight to 0
+            # or overflows it to NaN; both are refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                vec = np.full(space.block_size,
+                              np.exp(-0.5 * float(np.sum(np.abs(disp) ** 2))))
+                for j, occ in enumerate(space.table.T):
+                    vec = vec * disp[j] ** occ / root_fact[occ]
             lost += 1.0 - float(np.sum(np.abs(vec) ** 2))
         else:
             raise ValueError(f"unknown environment state kind {st.kind!r}")
         nrm = float(np.linalg.norm(vec))
-        if nrm == 0.0:
-            raise ValueError("environment state has zero weight in the space")
+        if not 0.0 < nrm < math.inf:
+            raise UnsupportedInitialState(
+                f"bath {bath}: {st.kind} state has norm {nrm:g} in the "
+                f"truncated space ({space.modes} modes, cap {space.cap}), "
+                "not a positive finite number")
         blocks.append(vec / nrm)
 
     env = blocks[0]

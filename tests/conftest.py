@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nmk_sim import kernels as ker
 
@@ -26,8 +27,10 @@ def lorentzian_coupling(lorentzian_kernel):
 @pytest.fixture(scope="session")
 def eigh_states():
     """exp(-i h t) psi0 at each of `times` by one dense eigendecomposition of
-    the sparse Hermitian h: (T, dim), the reference for the propagator."""
+    the sparse Hermitian h (a scipy or `nmk_sim.csr` CSR matrix): (T, dim),
+    the reference for the propagator."""
     def states(h, psi0, times):
+        h = sp.csr_matrix((h.data, h.indices, h.indptr), shape=h.shape)
         vals, vecs = np.linalg.eigh(h.toarray())
         coeff = vecs.conj().T @ psi0
         return (np.exp(-1j * np.outer(times, vals)) * coeff) @ vecs.T
@@ -36,13 +39,16 @@ def eigh_states():
 
 @pytest.fixture(scope="session")
 def ode_states():
-    """psi(t) at each of `times` under H(t) = P_0 + sum_k f_k(t) P_k by
-    scipy's DOP853 at rtol 3e-14 and atol 1e-15, restarted at every output
-    time so no row is interpolated: (T, dim), the reference for the
-    time-dependent propagator."""
+    """psi(t) at each of `times` under H(t) = P_0 + sum_k f_k(t) P_k (scipy or
+    `nmk_sim.csr` CSR parts) by scipy's DOP853 at rtol 3e-14 and atol
+    1e-15, restarted at every output time so no row is interpolated:
+    (T, dim), the reference for the time-dependent propagator."""
     from scipy.integrate import solve_ivp
 
     def states(parts, profiles, psi0, times):
+        parts = [sp.csr_matrix((p.data, p.indices, p.indptr), shape=p.shape)
+                 for p in parts]
+
         def rhs(t, psi):
             out = parts[0] @ psi
             for f, part in zip(profiles, parts[1:]):

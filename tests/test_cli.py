@@ -477,17 +477,27 @@ def _set(*keys, value):
     (_set("sweep", value={"epsilon": [0.05, math.inf]}), "at sweep/epsilon/1"),
     (_set("sweep", value={"cutoff_omega": [math.inf]}),
      "at sweep/cutoff_omega/0"),
+    (_set("baths", 0, "initial", value={
+        "type": "single_photon", "wavepacket": {"center": 0.0, "width": 1e300}}),
+     "at baths/0/initial/wavepacket/width"),
+    (_set("baths", 0, "initial", value={
+        "type": "single_photon",
+        "wavepacket": {"center": 0.0, "width": 1e-300}}),
+     "at baths/0/initial/wavepacket/width"),
 ], ids=["t_final-NaN", "out_step-NaN", "term-scale-NaN", "term-scale-Infinity",
         "jump-scale-NaN", "jump-scale-Infinity", "phase_poly-NaN",
         "phase_poly-Infinity", "omega_max-NaN", "omega_max-Infinity",
         "epsilon-NaN", "epsilon-Infinity", "cutoff_omega-NaN",
         "cutoff_omega-Infinity", "sweep-epsilon-Infinity",
-        "sweep-cutoff_omega-Infinity"])
+        "sweep-cutoff_omega-Infinity", "wavepacket-width-1e300",
+        "wavepacket-width-1e-300"])
 def test_non_finite_config_number_is_exit_two(tmp_path, capsys, edit, where,
                                               mode):
     # JSON's NaN and Infinity pass the parser, and NaN passes every schema
     # bound: the config is refused at load instead of ending in a traceback
-    # (a NaN step count, an SVD that does not converge, a NaN budget term)
+    # (a NaN step count, an SVD that does not converge, a NaN budget term);
+    # so is a wavepacket width whose square overflows (an OverflowError) or
+    # vanishes (a NaN state)
     doc = _shipped("lorentzian-desk.json")
     edit(doc)
     path = _write(tmp_path, doc)
@@ -753,6 +763,29 @@ def test_certify_truncation_uses_each_baths_moments(tmp_path):
         t = vals[idx["t"]]
         assert vals[idx["mu1_0"]] <= dyn.apriori_mu1(g, t, 1.0) + 1e-12
         assert vals[idx["mu2_0"]] <= dyn.apriori_mu2(g, t, 1.0, 1.0) + 1e-12
+
+
+@pytest.mark.parametrize("re, norm", [(40.0, "norm 0"), (1e300, "norm nan")],
+                         ids=["underflow", "overflow"])
+def test_coherent_state_the_cap_cannot_hold_is_exit_three(tmp_path, capsys,
+                                                          re, norm):
+    # a displacement of 40 in each of 8 modes puts exp(-6400) of weight in
+    # the space, which underflows to 0; one of 1e300 overflows it to NaN:
+    # both are refused before any propagation, with no numpy warning
+    doc = _shipped("lorentzian-desk.json")
+    doc["baths"][0]["initial"] = {"type": "coherent",
+                                  "displacements": {"re": [re] * 8}}
+    path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: bath 0: coherent state has "
+                          f"{norm} in the truncated space")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_certify_coherent_state_unsupported(tmp_path, capsys):

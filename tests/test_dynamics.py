@@ -581,7 +581,8 @@ def test_nan_part_is_step_control_failure(monkeypatch, fmt):
     def poisoned(*args):
         h_const, profiled = build(*args)
         term, profile = profiled[0]
-        term = term.tolil()
+        term = sp.csr_matrix((term.data, term.indices, term.indptr),
+                             shape=term.shape).tolil()
         term[0, 1] = np.nan
         return h_const, [(term.asformat(fmt), profile)]
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from nmk_sim import chain as chain_mod, dynamics as dyn, fock, kernels as ker
 from nmk_sim.chain import ChainCoefficients, star_to_chain
-from nmk_sim.errors import DimensionOverflow, ShapeMismatch
+from nmk_sim.errors import (DimensionOverflow, ShapeMismatch,
+                            UnsupportedInitialState)
 from nmk_sim.fock import (
     InitialEnvState,
     SIGMA_MINUS,
@@ -92,11 +94,17 @@ def test_index_round_trip_full_scan():
 
 # -- ladder matrix elements ------------------------------------------------------
 
+def _scipy(m):
+    """A scipy CSR matrix on the arrays of a built part (`nmk_sim.csr.CSR`)."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
 def _hamiltonian(model, baths, space, t=0.0):
-    """H(t): the constant part plus every profiled term at time t."""
+    """H(t): the constant part plus every profiled term at time t (scipy)."""
     h, profiled = build_hamiltonian_parts(model, baths, space)
+    h = _scipy(h)
     for term, profile in profiled:
-        h = h + profile(t) * term
+        h = h + profile(t) * _scipy(term)
     return h
 
 
@@ -359,6 +367,21 @@ def test_coherent_initial_state_truncation_loss():
     assert lost == pytest.approx(tail, abs=1e-10)
 
 
+@pytest.mark.parametrize("env", [
+    InitialEnvState("coherent", np.full(8, 40.0 + 0.0j)),
+    InitialEnvState("coherent", np.full(8, 1e300 + 0.0j)),
+    InitialEnvState("single_photon", np.ones(8, dtype=complex)),
+], ids=["coherent-underflow", "coherent-overflow", "photon-at-cap-0"])
+def test_environment_state_without_finite_weight_is_refused(env):
+    # no weight in the space, or a NaN one, cannot be normalized
+    cap = 0 if env.kind == "single_photon" else 2
+    space = enumerate_basis(1, 2, 1, 8, cap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedInitialState, match="bath 0: "):
+            assemble_initial_state(space, np.array([1.0, 0.0]), [env])
+
+
 def test_project_wavepacket_in_span(flat_coupling):
     """A wavepacket inside the chain span projects with tiny residual."""
     coeffs = star_to_chain(flat_coupling, 1.0, 8)
@@ -511,7 +534,7 @@ def _ref_star_parts(model, stars, space):
 
 
 def _assert_same_operator(new, ref, exact):
-    new, ref = new.tocsr(), ref.tocsr()
+    new, ref = _scipy(new), ref.tocsr()
     new.sort_indices()
     ref.sort_indices()
     assert np.array_equal(new.indptr, ref.indptr)
@@ -575,7 +598,7 @@ def test_builder_star_with_zero_couplings():
     space = enumerate_basis(1, 2, 1, 4, 2)
     _compare_builders("star", model, [star], space)
     h, _ = fock.build_hamiltonian_parts(model, [star], space)
-    assert h.nnz == np.count_nonzero(h.diagonal())    # no coupling entries
+    assert h.nnz == np.count_nonzero(_scipy(h).diagonal())   # no couplings
 
 
 @pytest.mark.parametrize("geometry", ["chain", "star"])

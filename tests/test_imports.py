@@ -2,10 +2,13 @@
 
 `scipy.integrate` serves only the tabulated total variation, `scipy.special`
 nothing, `mpmath` only the arbitrary-precision flat-chain check, and
-`scipy.sparse.linalg` only the Lindblad oracle, which no CLI mode runs.
-`scipy.linalg` serves no CLI process at all: the Gauss-Legendre rule is a
-shipped table and the chain's tridiagonal eigenproblems go to numpy.  Each
-check runs in a fresh interpreter, since this test session imports them.
+`scipy.sparse` with `scipy.sparse.linalg` only the Lindblad oracle, which no
+CLI mode runs, and the tests, where scipy's sparse matrices are the
+reference: every Hamiltonian is built and multiplied by scipy's compiled CSR
+kernels, which `nmk_sim.csr` loads without `scipy.sparse`.  `scipy.linalg`
+serves no CLI process at all: the Gauss-Legendre rule is a shipped table and
+the chain's tridiagonal eigenproblems go to numpy.  Each check runs in a
+fresh interpreter, since this test session imports them.
 """
 
 import json
@@ -16,7 +19,7 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-NARROW = ("scipy.integrate", "scipy.special", "mpmath",
+NARROW = ("scipy.integrate", "scipy.special", "mpmath", "scipy.sparse",
           "scipy.sparse.linalg", "scipy.linalg")
 
 
