@@ -14,7 +14,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     DegenerateWeight,
@@ -24,7 +23,16 @@ from .errors import (
 )
 from .kernels import RegularizedCoupling
 
-_PANEL_NODES = 12
+# Each panel's 12-node Gauss-Legendre rule on [-1, 1], as numpy's
+# ``leggauss(12)``: its six positive nodes and their weights, mirrored as in
+# ``leggauss`` (x[::-1] == -x, w[::-1] == w).  Tests check it bit for bit.
+_GL_X = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                  0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL_W = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                  0.16007832854334642, 0.10693932599531907,
+                  0.04717533638651141])
+_PANEL_RULE = (np.concatenate([-_GL_X[::-1], _GL_X]),
+               np.concatenate([_GL_W[::-1], _GL_W]))
 _MAX_PANEL_DOUBLINGS = 8
 _COEFF_TOL = 1e-9
 
@@ -113,7 +121,7 @@ def _discretize(coupling, omega_c, n_panels):
     key = (float(omega_c), int(n_panels))
     if key not in levels:
         edges = -omega_c * np.cos(np.linspace(0.0, math.pi, n_panels + 1))
-        xg, wg = leggauss(_PANEL_NODES)
+        xg, wg = _PANEL_RULE
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * (edges[1:] - edges[:-1])
         lam = (mid[:, None] + half[:, None] * xg[None, :]).ravel()

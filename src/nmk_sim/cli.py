@@ -11,8 +11,6 @@ iteration orders, floats printed with 17 significant digits, no wall-clock.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import functools
 import itertools
 import json
 import logging
@@ -20,9 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import chain as chain_mod
@@ -30,25 +26,13 @@ from . import dynamics as dyn
 from . import fock
 from . import kernels as ker
 from . import oracle as orc
+from . import validator
 from .errors import (DimensionOverflow, NmkSimError, SchemaViolation,
                      ShapeMismatch, StepControlFailure, UnsupportedInitialState)
 
 log = logging.getLogger("nmk_sim")
 
 MODES = ("chain-map", "simulate", "certify", "compare-oracle", "sweep")
-
-
-def _load_schema():
-    with resources.files("nmk_sim").joinpath("schema.json").open() as fh:
-        return json.load(fh)
-
-
-@functools.cache
-def _schema_validator():
-    # Built once: `jsonschema.validate` re-checks the schema itself on every
-    # call, which costs 50x the validation of a document.
-    schema = _load_schema()
-    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _fmt(x: float) -> str:
@@ -117,11 +101,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_document(cls, doc) -> "ExperimentConfig":
-        exc = jsonschema.exceptions.best_match(
-            _schema_validator().iter_errors(doc))
-        if exc is not None:
-            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise SchemaViolation(f"at {path}: {exc.message}") from exc
+        if (err := validator.shipped().best_error(doc)) is not None:
+            path, message = err
+            raise SchemaViolation(
+                f"at {'/'.join(map(str, path)) or '<root>'}: {message}")
         if (nan := _nan_path(doc)) is not None:
             raise SchemaViolation(
                 f"at {'/'.join(map(str, nan))}: NaN is not a number")
@@ -349,8 +332,14 @@ def _star_env_states(cfg, stars):
             wp = doc["wavepacket"]
             xi = _wavepacket(wp, star.omegas).astype(complex)
             norm = np.linalg.norm(xi)
-            if norm == 0.0:
+            if norm == 0.0 and abs(wp["center"]) > cfg.cutoff_omega:
                 raise _no_photon_weight(cfg, i, wp)
+            if norm == 0.0:    # a packet inside the cutoff between two nodes
+                raise UnsupportedInitialState(
+                    f"bath {i}: single-photon wavepacket at center "
+                    f"{wp['center']:g} of width {wp['width']:g} has no weight "
+                    f"on the {star.count} star nodes of spacing "
+                    f"{2.0 * cfg.cutoff_omega / star.count:g}")
             states.append(fock.InitialEnvState("single_photon", xi / norm))
     return states
 
@@ -576,6 +565,9 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, jobs: int):
     # a fork-started pool starts all of its workers on the first submit
     workers = min(jobs, len(points))
     if workers > 1:
+        # imported only for a pool: it costs every run about 4 ms of start-up
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers) as pool:
             rows = dict(pool.map(_sweep_worker, work))

@@ -530,11 +530,16 @@ def assemble_initial_state(space: TruncatedSpace, sys_state,
             disp = np.asarray(st.amplitudes, dtype=complex)
             if disp.shape != (space.modes,):
                 raise ShapeMismatch("displacements need length modes")
-            root_fact = np.sqrt([float(math.factorial(k))
-                                 for k in range(space.cap + 1)])
             # a displacement the cap cannot hold underflows the weight to 0
             # or overflows it to NaN; both are refused below
             with np.errstate(over="ignore", invalid="ignore"):
+                # k! overflows a float above 170: sqrt(k!) from lgamma there
+                # (infinite from about k = 300, which zeroes its amplitude)
+                root_fact = np.append(
+                    np.sqrt([float(math.factorial(k))
+                             for k in range(min(space.cap, 170) + 1)]),
+                    np.exp([0.5 * math.lgamma(k + 1)
+                            for k in range(171, space.cap + 1)]))
                 vec = np.full(space.block_size,
                               np.exp(-0.5 * float(np.sum(np.abs(disp) ** 2))))
                 for j, occ in enumerate(space.table.T):

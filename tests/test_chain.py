@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from nmk_sim import chain, dynamics as dyn, kernels as ker
 from nmk_sim.chain import (
@@ -17,6 +18,14 @@ from nmk_sim.errors import DegenerateWeight, RecursionBreakdown, ShapeMismatch
 
 
 # -- gauss quadrature ----------------------------------------------------------
+
+def test_panel_rule_matches_leggauss():
+    # the panel nodes and weights are shipped constants; the chain's bits
+    # depend on them matching numpy's rule exactly
+    x, w = chain._PANEL_RULE
+    ref_x, ref_w = leggauss(12)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
 
 def test_flat_one_node(flat_coupling):
     rule = gauss_quadrature(flat_coupling, 1.0, 1)

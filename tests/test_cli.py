@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import json
 import math
@@ -14,6 +15,7 @@ from nmk_sim import cli
 from nmk_sim import dynamics as dyn
 from nmk_sim import fock
 from nmk_sim import oracle as orc
+from nmk_sim import validator
 from nmk_sim.errors import SchemaViolation
 
 
@@ -58,7 +60,7 @@ def _write(tmp_path, doc, name="config.json"):
 
 def test_shipped_schema_is_valid():
     # configs are validated without re-checking the schema itself
-    schema = cli._load_schema()
+    schema = validator.shipped().schema
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
@@ -788,6 +790,25 @@ def test_coherent_state_the_cap_cannot_hold_is_exit_three(tmp_path, capsys,
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("cap", [171, 200, 400])
+def test_coherent_state_above_cap_170_runs(tmp_path, capsys, cap):
+    # k! overflows a float above 170, so sqrt(k!) is taken from lgamma
+    # there (and is infinite from about k = 300); the run must not end in
+    # a traceback or a numpy warning
+    doc = _shipped("lorentzian-desk.json")
+    doc.update(modes=1, particle_cap=cap)
+    doc["baths"][0]["initial"] = {"type": "coherent",
+                                  "displacements": {"re": [1.0]}}
+    path = _write(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["simulate", "--config", path,
+                         "--out", str(tmp_path / "o")])
+    assert code in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_certify_coherent_state_unsupported(tmp_path, capsys):
     doc = _base_doc(mode="certify", t_final=0.25, particle_cap=3)
     doc["baths"][0]["initial"] = {
@@ -871,6 +892,21 @@ def test_star_wavepacket_outside_cutoff_fails_before_chain_run(
     assert cli.main(["compare-oracle", "--config", path, "--out", str(out)]) == 3
     assert "no weight below" in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
+
+
+def test_star_wavepacket_between_nodes_names_the_star_grid(tmp_path, capsys):
+    # a packet inside the cutoff but narrower than the star spacing misses
+    # every node: the refusal names the grid, not the cutoff (the chain
+    # run of the same config succeeds)
+    path = _write(tmp_path, _far_photon_doc(0.0, 1e-120))
+    out = tmp_path / "o"
+    assert cli.main(["compare-oracle", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: bath 0: single-photon wavepacket at "
+                   "center 0 of width 1e-120 has no weight on the 64 star "
+                   "nodes of spacing 0.09375\n")
+    assert not (out / "trajectory.csv").exists()
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
 
 
 def test_star_photon_amplitudes_need_no_grid_step():
@@ -968,7 +1004,7 @@ class _RecordingPool:
 def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch,
                                                      jobs, pools):
     sizes = []
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         functools.partial(_RecordingPool, sizes=sizes))
     doc = _base_doc(mode="sweep", modes=2)
     doc["sweep"] = {"modes": [2, 3, 4]}

@@ -5,10 +5,13 @@ nothing, `mpmath` only the arbitrary-precision flat-chain check, and
 `scipy.sparse` with `scipy.sparse.linalg` only the Lindblad oracle, which no
 CLI mode runs, and the tests, where scipy's sparse matrices are the
 reference: every Hamiltonian is built and multiplied by scipy's compiled CSR
-kernels, which `nmk_sim.csr` loads without `scipy.sparse`.  `scipy.linalg`
-serves no CLI process at all: the Gauss-Legendre rule is a shipped table and
-the chain's tridiagonal eigenproblems go to numpy.  Each check runs in a
-fresh interpreter, since this test session imports them.
+kernels, which `nmk_sim.csr` loads without `scipy.sparse`.  `scipy.linalg`,
+`numpy.polynomial` and `jsonschema` serve no CLI process at all: both
+Gauss-Legendre rules are shipped constants, the chain's tridiagonal
+eigenproblems go to numpy, and `nmk_sim.validator` checks configs against
+`schema.json` (jsonschema is only the tests' reference).
+`concurrent.futures` serves only a sweep with more than one job.  Each check
+runs in a fresh interpreter, since this test session imports them.
 """
 
 import json
@@ -20,7 +23,8 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NARROW = ("scipy.integrate", "scipy.special", "mpmath", "scipy.sparse",
-          "scipy.sparse.linalg", "scipy.linalg")
+          "scipy.sparse.linalg", "scipy.linalg", "jsonschema",
+          "concurrent.futures", "numpy.polynomial")
 
 
 def _loaded_after(code):
