@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import logging
+# argparse's first translated message imports `locale` through `gettext` in
+# every run; loaded here, with the rest of start-up, rather than inside `main`
+import locale
 import math
 import os
 import sys
@@ -30,9 +32,11 @@ from . import validator
 from .errors import (DimensionOverflow, NmkSimError, SchemaViolation,
                      ShapeMismatch, StepControlFailure, UnsupportedInitialState)
 
-log = logging.getLogger("nmk_sim")
-
 MODES = ("chain-map", "simulate", "certify", "compare-oracle", "sweep")
+# The level names `logging` accepts for NMK_SIM_LOG (any case); at INFO and
+# below `run` reports its progress on stderr in logging's format
+LOG_LEVELS = {"CRITICAL": 50, "FATAL": 50, "ERROR": 40, "WARN": 30,
+              "WARNING": 30, "INFO": 20, "DEBUG": 10, "NOTSET": 0}
 
 
 def _fmt(x: float) -> str:
@@ -271,10 +275,23 @@ def _space(cfg, modes, cap, star=False):
     return space
 
 
-def _no_photon_weight(cfg, bath, wp):
+def _no_photon_weight(cfg, bath, wp, grid=None):
+    """Refusal of a single-photon packet without weight: on the sample points
+    that `grid` names, when given and the packet is centred inside the
+    cutoff (it falls between two points), else below the cutoff."""
+    if grid is not None and abs(wp["center"]) <= cfg.cutoff_omega:
+        return UnsupportedInitialState(
+            f"bath {bath}: single-photon wavepacket at center "
+            f"{wp['center']:g} of width {wp['width']:g} has no weight on the "
+            f"{grid}")
     return UnsupportedInitialState(
         f"bath {bath}: single-photon wavepacket at center {wp['center']:g} has "
         f"no weight below cutoff_omega {cfg.cutoff_omega:g}")
+
+
+def _reg_grid_name(w):
+    return (f"{w.size} points of the regularization grid of spacing "
+            f"{(w[-1] - w[0]) / (w.size - 1):g}")
 
 
 def _wavepacket(wp, w, squared=False):
@@ -298,7 +315,7 @@ def _env_states(cfg, chains, couplings):
             xi = _wavepacket(wp, w)
             norm_sq = float(np.trapezoid(np.abs(xi) ** 2, w))
             if norm_sq == 0.0:
-                raise _no_photon_weight(cfg, i, wp)
+                raise _no_photon_weight(cfg, i, wp, _reg_grid_name(w))
             xi = xi / math.sqrt(norm_sq)
             amps, residual = fock.project_wavepacket(coeffs, coupling, w, xi)
             if np.linalg.norm(amps) == 0.0:
@@ -332,13 +349,9 @@ def _star_env_states(cfg, stars):
             wp = doc["wavepacket"]
             xi = _wavepacket(wp, star.omegas).astype(complex)
             norm = np.linalg.norm(xi)
-            if norm == 0.0 and abs(wp["center"]) > cfg.cutoff_omega:
-                raise _no_photon_weight(cfg, i, wp)
-            if norm == 0.0:    # a packet inside the cutoff between two nodes
-                raise UnsupportedInitialState(
-                    f"bath {i}: single-photon wavepacket at center "
-                    f"{wp['center']:g} of width {wp['width']:g} has no weight "
-                    f"on the {star.count} star nodes of spacing "
+            if norm == 0.0:
+                raise _no_photon_weight(
+                    cfg, i, wp, f"{star.count} star nodes of spacing "
                     f"{2.0 * cfg.cutoff_omega / star.count:g}")
             states.append(fock.InitialEnvState("single_photon", xi / norm))
     return states
@@ -363,7 +376,7 @@ def _state_constants(cfg, couplings):
             xi2 = _wavepacket(wp, w, squared=True)
             mass = float(np.trapezoid(xi2, w))
             if mass == 0.0:
-                raise _no_photon_weight(cfg, i, wp)
+                raise _no_photon_weight(cfg, i, wp, _reg_grid_name(w))
             xi2 = xi2 / mass
             n1.append(float(np.trapezoid((1.0 + w**2) * xi2, w)))
             n2.append(float(np.trapezoid((1.0 + w**2) ** 2 * xi2, w)))
@@ -581,21 +594,29 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, jobs: int):
                        ([tag, *(rows[tag][c] for c in cols)] for tag in tags)))
 
 
-def run(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
-    """Execute the configured mode; returns the process exit status."""
+def run(config: ExperimentConfig, out_dir: str, jobs: int = 1,
+        verbose: bool = False) -> int:
+    """Execute the configured mode; returns the process exit status.  When
+    `verbose`, reports the run's settings and, at the end, its output
+    directory on stderr, as INFO lines."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise SchemaViolation(
             f"at --out: cannot create {out_dir}: {exc.strerror}") from exc
-    log.info("mode %s: %d bath(s), omega_c=%g, modes=%d, cap=%d, t=%g",
-             config.mode, len(config.kernels), config.cutoff_omega,
-             config.modes, config.particle_cap, config.t_final)
+    if verbose:
+        print("INFO nmk_sim: mode %s: %d bath(s), omega_c=%g, modes=%d, "
+              "cap=%d, t=%g" % (config.mode, len(config.kernels),
+                                config.cutoff_omega, config.modes,
+                                config.particle_cap, config.t_final),
+              file=sys.stderr)
     if config.mode == "sweep":
         _run_sweep(config, out_dir, jobs)
     else:
         _run_point(config, out_dir)
-    log.info("artifacts written to %s", out_dir)
+    if verbose:
+        print("INFO nmk_sim: artifacts written to %s" % out_dir,
+              file=sys.stderr)
     return 0
 
 
@@ -612,11 +633,12 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
-    logging.basicConfig(
-        level=os.environ.get("NMK_SIM_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
-
     try:
+        level = os.environ.get("NMK_SIM_LOG", "WARNING")
+        if level.upper() not in LOG_LEVELS:
+            raise SchemaViolation(
+                f"at NMK_SIM_LOG: unknown level {level!r}, need one of "
+                f"{', '.join(LOG_LEVELS)} (any case)")
         if args.jobs < 1:
             raise SchemaViolation(
                 f"at --jobs: needs at least 1 worker, got {args.jobs}")
@@ -632,7 +654,8 @@ def main(argv=None) -> int:
                 raise SchemaViolation(
                     f"at particle_cap: {cfg.mode} needs a cap of at least 1, "
                     f"got {cap}")
-        return run(cfg, args.out, jobs=args.jobs)
+        return run(cfg, args.out, jobs=args.jobs,
+                   verbose=LOG_LEVELS[level.upper()] <= LOG_LEVELS["INFO"])
     except SchemaViolation as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

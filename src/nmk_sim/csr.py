@@ -1,17 +1,20 @@
 """Compressed sparse row (CSR) matrices on scipy's compiled kernels, without
-importing `scipy.sparse`.
+importing `scipy.sparse`, or even running scipy's package `__init__`.
 
 `import scipy.sparse` costs about 0.13 s of a CLI process's start-up, most of
 it in `scipy._lib.array_api_compat`, which loads `numpy.f2py`,
-`numpy.testing` and `unittest`.  The arithmetic itself lives in the compiled
-extension `scipy.sparse._sparsetools`, which needs only numpy.  This module
-runs the light `import scipy`, loads `scipy/sparse/_sparsetools*.so` by file
-path under its own name and registers it in `sys.modules`, so a later
-`import scipy.sparse` reuses the same module object.  When the file is not
-found it imports the extension from `scipy.sparse` instead: the same
-kernels, so there is only one arithmetic path.  `_sparsetools` is private to
-scipy; its kernels and their order here were checked against scipy 1.17.1
-(the package allows scipy >= 1.11).
+`numpy.testing` and `unittest`; `import scipy` alone runs a package
+`__init__` of about 20 modules, `subprocess` among them.
+The arithmetic itself lives in the compiled extension
+`scipy.sparse._sparsetools`, which needs only numpy.  This module finds the
+scipy folder with `importlib.util.find_spec`, which runs no package code,
+loads `scipy/sparse/_sparsetools*.so` by file path under its own name and
+registers it in `sys.modules`, so a later `import scipy.sparse` reuses the
+same module object.  When the file is not found, or loading it raises
+`ImportError`, it imports the extension from `scipy.sparse` instead: the
+same kernels, so there is only one arithmetic path.  `_sparsetools` is
+private to scipy; its kernels and their order here were checked against
+scipy 1.17.1 (the package allows scipy >= 1.11).
 
 `CSR` holds (data, indices, indptr, shape) and covers what a run needs:
 construction from triplets with duplicates summed (`from_triplets`), the sum
@@ -31,36 +34,41 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 _NAME = "scipy.sparse._sparsetools"
 
 
 def _extension_path():
     """Path of the compiled `_sparsetools` extension, or None."""
-    folder = os.path.join(os.path.dirname(scipy.__file__), "sparse")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_sparsetools" + suffix)
-        if os.path.isfile(path):
-            return path
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                return path
     return None
 
 
 def _load_kernels():
     """The `scipy.sparse._sparsetools` module: the one already imported, or
     the extension loaded by path and registered under its own name, or,
-    without the file, the one `scipy.sparse` imports."""
+    without the file or when it fails to load, the one `scipy.sparse`
+    imports."""
     if _NAME in sys.modules:
         return sys.modules[_NAME]
     path = _extension_path()
-    if path is None:
-        from scipy.sparse import _sparsetools
-        return _sparsetools
-    spec = importlib.util.spec_from_file_location(_NAME, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[_NAME] = module
-    return module
+    if path is not None:
+        spec = importlib.util.spec_from_file_location(_NAME, path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            pass
+        else:
+            sys.modules[_NAME] = module
+            return module
+    from scipy.sparse import _sparsetools
+    return _sparsetools
 
 
 _kernels = _load_kernels()

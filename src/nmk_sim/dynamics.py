@@ -163,7 +163,8 @@ def measure_moments(space: TruncatedSpace, psi):
     """
     psi = np.asarray(psi)
     prob = np.abs(psi.reshape((-1, space.sys_dim)
-                              + (space.block_size,) * space.baths)) ** 2
+                              + (space.block_size,) * space.baths))
+    np.square(prob, out=prob)       # one temporary for the whole stack
     occupation = space.table.sum(axis=1).astype(float)
     marginals = [prob.sum(axis=tuple(ax for ax in range(1, prob.ndim)
                                      if ax != 2 + a))

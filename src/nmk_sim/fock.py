@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -224,24 +224,42 @@ def _rank(occ, cap: int):
 
 
 def _occupation_table(modes: int, cap: int):
-    """All occupation vectors with sum <= cap, lexicographically ordered:
-    the ranks 0, 1, ... unranked mode by mode (the inverse of `_rank`)."""
-    counts = _completions(modes, cap)
-    rest = np.arange(counts[modes, cap])
-    left = np.full(rest.size, cap)
-    columns = []
-    for i in range(modes):
-        tail = counts[modes - 1 - i]
-        occ = np.zeros(rest.size, dtype=np.int64)
-        for _ in range(cap):
-            # rows ranked past all completions of the current occupation
-            size = tail[left - occ]
-            step = (occ < left) & (rest >= size)
-            rest -= np.where(step, size, 0)
-            occ += step
-        left -= occ
-        columns.append(occ)
-    table = np.stack(columns, axis=1)
+    """All occupation vectors with sum <= cap, lexicographically ordered (the
+    inverse of `_rank`), in the smallest unsigned dtype that holds `cap`.
+
+    The rows that hold `left` quanta in modes i, i + 1, ... form the same
+    block (i, left) under every prefix.  Its first occurrence is filled
+    column by column: in column i, runs of v = 1 .. left over the
+    C(modes - 1 - i + left - v, left - v) rows of the blocks (i + 1, left - v)
+    that follow.  Every later occurrence is a copy of the first.  The table
+    starts zeroed, so only nonzero entries are written, and an explicit stack
+    walks the blocks in row order, as a cap-1 star of thousands of modes
+    would pass Python's recursion limit.
+    """
+    counts = _completions(modes, cap).tolist()
+    table = np.zeros((counts[modes][cap], modes),
+                     dtype=np.min_scalar_type(cap))
+    first = {}          # (i, left) -> first row of its first occurrence
+    stack = [(0, 0, cap)]
+    while stack:
+        start, i, left = stack.pop()
+        if left == 0:
+            continue
+        if i == modes - 1:                  # one row per value
+            table[start + 1:start + left + 1, i] = np.arange(1, left + 1)
+        elif (i, left) in first:
+            size, src = counts[modes - i][left], first[i, left]
+            table[start:start + size, i:] = table[src:src + size, i:]
+        else:
+            first[i, left] = start
+            blocks = []
+            for v in range(left + 1):
+                size = counts[modes - 1 - i][left - v]
+                if v:
+                    table[start:start + size, i] = v
+                blocks.append((start, i + 1, left - v))
+                start += size
+            stack.extend(reversed(blocks))
     table.flags.writeable = False
     return table
 
@@ -262,6 +280,8 @@ class TruncatedSpace:
             raise DimensionOverflow(
                 f"dimension {self.dimension} exceeds cap {STATE_CAP}"
             )
+        # 8 bytes an entry, though the table holds 1 or 2: the build casts it
+        # to float64 (`table @ onsite`) and to int64 indices (`_moves`)
         if (size := 8 * self.block_size * self.modes) > HAMILTONIAN_BYTES_CAP:
             raise DimensionOverflow(
                 f"occupation table of {size / 2**20:.0f} MiB ({self.block_size}"
@@ -351,42 +371,54 @@ def _lift(space: TruncatedSpace, bath: int, system, rows, cols, vals):
 
 def hamiltonian_terms(model: SystemModel, space: TruncatedSpace):
     """Every term of the dilated Hamiltonian, in summation order, as
-    (part, bath, system operator, block rows, block columns, amplitudes).
+    (part, bath, system operator, entries, diagonal, block).
 
-    A term is the system operator (x) the block of entries (rows, cols) on
-    bath `bath` (x) identity on the other baths (`_lift`); the block's values
-    are `amplitudes(onsite, hopping, couplings)` of that bath, taken only
-    when called, so a count reads the layout alone.  Each bath in
-    turn gives its quadratic form (the onsite diagonal, then the hops to and
-    from the next mode), its coupling L a^dag(g) and that coupling's
-    adjoint, all in part 0; the adjoint's amplitudes are None, as it is the
-    conjugate transpose of the term before it.  Then each system term acts
-    on every block state: in part 0 when constant, in part k when it is the
-    k-th profiled term.
+    A term is the system operator (x) a block of `entries` entries on bath
+    `bath`, `diagonal` of them on the diagonal, (x) identity on the other
+    baths (`_lift`).  `block(onsite, hopping, couplings)` gives the block's
+    (rows, cols, values) for that bath; the layout is built at its first
+    call, so a count reads `entries` alone.  Each bath in turn gives its
+    quadratic form (the onsite diagonal, then the hops to and from the next
+    mode), its coupling L a^dag(g) and that coupling's adjoint, all in
+    part 0; the adjoint's block is None, as it is the conjugate transpose of
+    the term before it.  Then each system term acts on every block state:
+    in part 0 when constant, in part k when it is the k-th profiled term.
+
+    A quantum in mode j lowers each row below the cap once and, for j below
+    the last mode, hops each row with n_{j+1} >= 1 once (`_moves`); both
+    sets number C(modes + cap - 1, modes), the rows below the cap.
     """
-    table = space.table
-    (row, mode, lower), (hop_from, hop_mode, hop_to) = _moves(space)
-    diag = np.arange(space.block_size)
-    quad_rows = np.concatenate([diag, hop_to, hop_from])
-    quad_cols = np.concatenate([diag, hop_from, hop_to])
+    table, size = space.table, space.block_size
+    below = math.comb(space.modes + space.cap - 1, space.modes)
+    occupied, hops = space.modes * below, (space.modes - 1) * below
+    moves = cache(partial(_moves, space))
+    diag = np.arange(size)
 
     def quadratic(onsite, hopping, couplings):
-        hop = hopping[hop_mode] * np.sqrt(
-            table[hop_from, hop_mode] * (table[hop_from, hop_mode + 1] + 1))
-        return np.concatenate([table @ onsite, hop, np.conj(hop)])
+        _, (hop_from, hop_mode, hop_to) = moves()
+        # int64 first: n_j (n_{j+1} + 1) outgrows a uint8 from cap 31
+        occ = table[hop_from, hop_mode].astype(np.int64)
+        nxt = table[hop_from, hop_mode + 1].astype(np.int64)
+        hop = hopping[hop_mode] * np.sqrt(occ * (nxt + 1))
+        return (np.concatenate([diag, hop_to, hop_from]),
+                np.concatenate([diag, hop_from, hop_to]),
+                np.concatenate([table @ onsite, hop, np.conj(hop)]))
 
     def coupling(onsite, hopping, couplings):
-        return couplings[mode] * np.sqrt(table[row, mode])
+        (row, mode, lower), _ = moves()
+        # int64 first: the sqrt of a uint8 array is float16
+        return row, lower, couplings[mode] * np.sqrt(
+            table[row, mode].astype(np.int64))
 
     for alpha in range(space.baths):
         jump = model.jump_matrix(alpha)
-        yield 0, alpha, np.eye(space.sys_dim), quad_rows, quad_cols, quadratic
-        yield 0, alpha, jump, row, lower, coupling
-        yield 0, alpha, jump.conj().T, lower, row, None
+        yield 0, alpha, np.eye(space.sys_dim), size + 2 * hops, size, quadratic
+        yield 0, alpha, jump, occupied, 0, coupling
+        yield 0, alpha, jump.conj().T, occupied, 0, None
     profiled = itertools.count(1)
     for mat, profile in model.hs_operators:
-        yield (0 if profile.is_constant else next(profiled), 0, mat, diag,
-               diag, lambda *bath: np.ones(space.block_size))
+        yield (0 if profile.is_constant else next(profiled), 0, mat, size,
+               size, lambda *bath: (diag, diag, np.ones(size)))
 
 
 def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
@@ -414,11 +446,9 @@ def build_hamiltonian_parts(model: SystemModel, baths, space: TruncatedSpace):
 
     parts = {0: CSR.zeros((space.dimension,) * 2,
                           dtype=float if real else complex)}
-    for part, alpha, system, rows, cols, amplitudes in hamiltonian_terms(
-            model, space):
-        term = term.adjoint() if amplitudes is None else _lift(
-            space, alpha, values(system), rows, cols,
-            amplitudes(*map(values, arrays[alpha])))
+    for part, alpha, system, _, _, block in hamiltonian_terms(model, space):
+        term = term.adjoint() if block is None else _lift(
+            space, alpha, values(system), *block(*map(values, arrays[alpha])))
         parts[part] = parts[part] + term if part in parts else term
     profiles = [p for _, p in model.hs_operators if not p.is_constant]
     return parts[0], [(parts[k], p) for k, p in enumerate(profiles, 1)]
@@ -440,9 +470,10 @@ def hamiltonian_bytes(model: SystemModel, space: TruncatedSpace,
     """
     other_baths = space.block_size ** (space.baths - 1)
     nnz, parts = space.dimension, {0}
-    for part, _, system, rows, cols, _ in hamiltonian_terms(model, space):
-        shared = 0 if part else np.count_nonzero(rows == cols)
-        nnz += other_baths * int(len(rows) * np.count_nonzero(system) - shared
+    for part, _, system, entries, diagonal, _ in hamiltonian_terms(model,
+                                                                   space):
+        shared = 0 if part else diagonal
+        nnz += other_baths * int(entries * np.count_nonzero(system) - shared
                                  * np.count_nonzero(np.diagonal(system)))
         parts.add(part)
     value = 8 if model.real and not complex_couplings else 16

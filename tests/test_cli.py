@@ -909,6 +909,22 @@ def test_star_wavepacket_between_nodes_names_the_star_grid(tmp_path, capsys):
     assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("mode", ["simulate", "certify"])
+def test_chain_wavepacket_between_grid_points_names_the_grid(tmp_path, capsys,
+                                                            mode):
+    # a packet inside the cutoff but narrower than the regularization grid's
+    # spacing misses every grid point: the refusal names the grid, not the
+    # cutoff (certify meets it first in the regularization constants)
+    path = _write(tmp_path, _far_photon_doc(0.01, 1e-120))
+    out = tmp_path / "o"
+    assert cli.main([mode, "--config", path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: bath 0: single-photon wavepacket at center 0.01 "
+        "of width 1e-120 has no weight on the 8193 points of the "
+        "regularization grid of spacing 0.245111\n")
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_star_photon_amplitudes_need_no_grid_step():
     # the sqrt(dw) factor of a uniform star grid cancels in the normalization
     cfg = cli.ExperimentConfig.from_document(_single_photon_oracle_doc(64))
@@ -1087,3 +1103,36 @@ def test_sweep_document_without_axes_runs_other_modes(tmp_path):
     assert cli.main(["simulate", "--config", _write(tmp_path, doc),
                      "--out", str(out)]) == 0
     assert (out / "trajectory.csv").exists()
+
+
+# -- progress lines -------------------------------------------------------------
+
+@pytest.mark.parametrize("level", [None, "WARNING", "INFO", "debug"])
+def test_progress_lines_follow_nmk_sim_log(tmp_path, capsys, monkeypatch,
+                                           level):
+    # at INFO and below (any case), the settings and the output directory
+    # in logging's "LEVEL name: message" format; unset or above, nothing
+    if level is None:
+        monkeypatch.delenv("NMK_SIM_LOG", raising=False)
+    else:
+        monkeypatch.setenv("NMK_SIM_LOG", level)
+    out = tmp_path / "o"
+    config = os.path.join(CONFIGS, "lorentzian-desk.json")
+    assert cli.main(["chain-map", "--config", config, "--out", str(out)]) == 0
+    lines = ("INFO nmk_sim: mode chain-map: 1 bath(s), omega_c=3, modes=8, "
+             f"cap=2, t=2\nINFO nmk_sim: artifacts written to {out}\n")
+    assert capsys.readouterr().err == (lines if level in ("INFO", "debug")
+                                       else "")
+
+
+def test_unknown_log_level_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # refused before the output directory is made
+    monkeypatch.setenv("NMK_SIM_LOG", "verbose")
+    out = tmp_path / "o"
+    config = os.path.join(CONFIGS, "lorentzian-desk.json")
+    assert cli.main(["chain-map", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: at NMK_SIM_LOG: unknown level "
+                          "'verbose'")
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -297,20 +297,35 @@ def test_fallback_import_gives_the_same_kernels_and_bits(monkeypatch):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
+def test_failed_load_by_path_takes_the_fallback(monkeypatch, tmp_path):
+    # a file that does not load as an extension raises ImportError, and the
+    # kernels come from `scipy.sparse` as without the file
+    broken = tmp_path / "_sparsetools.so"
+    broken.write_bytes(b"not a shared object")
+    monkeypatch.setattr(csr, "_extension_path", lambda: str(broken))
+    monkeypatch.delitem(sys.modules, csr._NAME)
+    fallback = csr._load_kernels()
+    from scipy.sparse import _sparsetools
+    assert fallback is _sparsetools
+    assert fallback.__name__ == csr._NAME
+    assert fallback.__file__ != str(broken)
+
+
 def test_kernels_load_by_path_and_scipy_reuses_them():
     # in a fresh interpreter: `nmk_sim.csr` loads the extension file without
-    # `scipy.sparse`, and a later `import scipy.sparse` takes the same module
+    # running scipy's package `__init__` or importing `scipy.sparse`, and a
+    # later `import scipy.sparse` takes the same module
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     probe = (
         "import json, sys\n"
         "from nmk_sim import csr\n"
-        "loaded = 'scipy.sparse' in sys.modules\n"
+        "loaded = [m in sys.modules for m in ('scipy', 'scipy.sparse')]\n"
         "by_path = csr._kernels.__file__ == csr._extension_path()\n"
         "import scipy.sparse._compressed as c\n"
         "same = c._sparsetools is csr._kernels\n"
         "print(json.dumps([loaded, by_path, same]))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, check=True)
-    assert json.loads(proc.stdout) == [False, True, True]
+    assert json.loads(proc.stdout) == [[False, False], True, True]

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -570,9 +571,11 @@ def _compare_builders(geometry, model, baths, space, exact=True):
                               ref_const, exact)
 
 
-# (cap, baths, modes): every cap and bath count at 3 modes, and 1 mode
+# (cap, baths, modes): every cap and bath count at 3 modes, and 1 mode;
+# at cap 40 a hop's n_j (n_{j+1} + 1) passes the one-byte table's 255
 _BUILDER_CASES = ([(cap, baths, 3) for cap in (0, 1, 2, 3) for baths in (1, 2, 3)]
-                  + [(cap, baths, 1) for cap in (1, 3) for baths in (1, 2)])
+                  + [(cap, baths, 1) for cap in (1, 3) for baths in (1, 2)]
+                  + [(40, 1, 2)])
 
 
 @pytest.mark.parametrize("geometry", ["chain", "star"])
@@ -666,16 +669,36 @@ def test_builder_dtype_follows_values():
     assert desk.real and not sigma_y.real and not y_jump.real
 
 
-_TABLE_SIZES = [(1, 0), (1, 4), (3, 3), (6, 2), (20, 4), (512, 1)]
+_TABLE_SIZES = [(1, 0), (1, 4), (3, 3), (6, 2), (20, 4), (512, 1), (20, 6)]
 
 
 @pytest.mark.parametrize("modes,cap", _TABLE_SIZES)
 def test_rank_inverts_table(modes, cap):
     table = fock._occupation_table(modes, cap)
     assert table.shape == (math.comb(modes + cap, cap), modes)
+    assert table.dtype == np.uint8
     assert np.array_equal(fock._rank(table, cap), np.arange(len(table)))
     if len(table) < 2000:
         assert np.array_equal(table, _ref_table(modes, cap)[0])
+
+
+def test_table_deeper_than_the_recursion_limit():
+    # a cap-1 table of more modes than Python's recursion limit allows frames
+    # (`_ref_table` recurses once per mode): the vacuum row, then one quantum
+    # in the last mode, ..., in the first
+    modes = 1100
+    assert modes > sys.getrecursionlimit()
+    closed_form = np.vstack([np.zeros((1, modes), dtype=int),
+                             np.eye(modes, dtype=int)[::-1]])
+    assert np.array_equal(fock._occupation_table(modes, 1), closed_form)
+
+
+@pytest.mark.parametrize("cap, dtype", [(255, np.uint8), (256, np.uint16)])
+def test_table_dtype_holds_the_cap(cap, dtype):
+    # the smallest unsigned type that holds the cap
+    table = fock._occupation_table(2, cap)
+    assert table.dtype == dtype
+    assert np.array_equal(table, _ref_table(2, cap)[0])
 
 
 @pytest.mark.parametrize("modes,cap", _TABLE_SIZES)
@@ -684,10 +707,13 @@ def test_moves_follow_table_order(modes, cap, to_next):
     space = enumerate_basis(1, 2, 1, modes, cap)
     table = space.table
     row, mode, target = fock._moves(space)[to_next]
-    step = np.zeros((row.size, modes + 1), dtype=np.int64)
-    step[np.arange(row.size), mode] = 1
-    step[np.arange(row.size), mode + 1] -= to_next
-    assert np.array_equal(table[target], table[row] - step[:, :modes])
+    # one quantum out of mode j (and into mode j + 1), in the table's dtype,
+    # so that the (20, 6) case's million moves stay small
+    moved = table[row]
+    moved[np.arange(row.size), mode] -= 1
+    if to_next:
+        moved[np.arange(row.size), mode + 1] += 1
+    assert np.array_equal(table[target], moved)
     # each (row, mode) holding a quantum moves exactly once
     sources = np.zeros(table.shape, dtype=int)
     np.add.at(sources, (row, mode), 1)
@@ -733,3 +759,25 @@ def test_initial_states_match_reference_loops():
         psi, _ = assemble_initial_state(space, sys0, [st_env])
         expected = np.kron(sys0, ref / np.linalg.norm(ref))
         assert np.max(np.abs(psi - expected)) <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("cap", [171, 200, 400])
+def test_coherent_state_above_cap_170_keeps_int64_bits(cap):
+    # the amplitudes from a one- or two-byte table (uint16 at cap 400) equal
+    # those of the same formula on an int64 table of the same rows, bit for
+    # bit: sqrt(k!) from float factorials up to 170 and lgamma above
+    space = enumerate_basis(1, 2, 1, 2, cap)
+    disp = np.array([1.0 + 0.5j, -0.7])
+    vec = np.full(space.block_size, np.exp(-0.5 * np.sum(np.abs(disp) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        root_fact = np.append(
+            np.sqrt([float(math.factorial(k)) for k in range(171)]),
+            np.exp([0.5 * math.lgamma(k + 1) for k in range(171, cap + 1)]))
+        for j, occ in enumerate(_ref_table(2, cap)[0].T):
+            vec = vec * disp[j] ** occ / root_fact[occ]
+    sys0 = np.array([1.0, 0.0])
+    psi, lost = assemble_initial_state(
+        space, sys0, [InitialEnvState("coherent", disp)])
+    assert space.table.dtype == (np.uint16 if cap > 255 else np.uint8)
+    assert psi.tobytes() == np.kron(sys0, vec / np.linalg.norm(vec)).tobytes()
+    assert lost == 1.0 - float(np.sum(np.abs(vec) ** 2))

@@ -5,7 +5,10 @@ nothing, `mpmath` only the arbitrary-precision flat-chain check, and
 `scipy.sparse` with `scipy.sparse.linalg` only the Lindblad oracle, which no
 CLI mode runs, and the tests, where scipy's sparse matrices are the
 reference: every Hamiltonian is built and multiplied by scipy's compiled CSR
-kernels, which `nmk_sim.csr` loads without `scipy.sparse`.  `scipy.linalg`,
+kernels, which `nmk_sim.csr` loads by file path without running `scipy`'s
+package `__init__`, so `scipy.sparse._sparsetools` is the only scipy module a
+CLI process holds.  `logging` serves no CLI process: `cli.run` prints its two
+progress lines itself.  `scipy.linalg`,
 `numpy.polynomial` and `jsonschema` serve no CLI process at all: both
 Gauss-Legendre rules are shipped constants, the chain's tridiagonal
 eigenproblems go to numpy, and `nmk_sim.validator` checks configs against
@@ -22,9 +25,16 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-NARROW = ("scipy.integrate", "scipy.special", "mpmath", "scipy.sparse",
-          "scipy.sparse.linalg", "scipy.linalg", "jsonschema",
-          "concurrent.futures", "numpy.polynomial")
+NARROW = ("scipy", "scipy.integrate", "scipy.special", "mpmath",
+          "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "jsonschema",
+          "concurrent.futures", "numpy.polynomial", "logging")
+CONFIGS = sorted(os.listdir(os.path.join(ROOT, "configs")))
+# the runs that do not exit 0: sweep needs sweep axes, and the star oracle
+# takes constant system profiles only
+EXIT_CODES = {("sweep", "driven-qubit.json"): 2,
+              ("sweep", "feedback-delay.json"): 2,
+              ("sweep", "lorentzian-desk.json"): 2,
+              ("compare-oracle", "driven-qubit.json"): 3}
 
 
 def _loaded_after(code):
@@ -68,3 +78,15 @@ def test_compare_oracle_loads_no_narrow_module(tmp_path):
 ])
 def test_subcommand_loads_no_narrow_module(mode, config, tmp_path):
     assert _loaded_after(_cli_run(mode, tmp_path, config)) == []
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_every_subcommand_of_a_shipped_config_loads_no_narrow_module(
+        config, tmp_path):
+    path = os.path.join(ROOT, "configs", config)
+    code = "from nmk_sim import cli\n" + "".join(
+        f"assert cli.main([{mode!r}, '--config', {path!r}, '--out', "
+        f"{str(tmp_path / mode)!r}]) == {EXIT_CODES.get((mode, config), 0)}\n"
+        for mode in ("chain-map", "simulate", "certify", "compare-oracle",
+                     "sweep"))
+    assert _loaded_after(code) == []
